@@ -1,19 +1,15 @@
 //! Experiment E9: model-checker exploration throughput.
 //!
 //! Times `StateGraph::explore` on the E1 (grouped family) and E4
-//! (partitioned agreement) fixtures across thread counts *and shard
-//! counts* (the Stern–Dill fingerprint-partitioned explorer,
-//! `ExploreOptions::shards`) with symmetry reduction and partial-order
-//! reduction on/off, and writes a machine-readable
-//! `BENCH_modelcheck.json` at the repo root with configs/sec, peak
-//! configuration counts, per-config memory, the reduction ratios and a
-//! per-phase wall-time breakdown (`phases`, from an instrumented
-//! post-warm-up exploration run per row with that row's exact thread and
-//! shard options — see [`subconsensus_sim::ExploreMetrics`]), so perf
+//! (partitioned agreement) fixtures across thread counts with symmetry
+//! reduction and partial-order reduction on/off, and writes a
+//! machine-readable `BENCH_modelcheck.json` at the repo root with
+//! configs/sec, peak configuration counts, per-config memory, the
+//! reduction ratios and a per-phase wall-time breakdown (`phases`, from an
+//! instrumented post-warm-up exploration run per row with that row's exact
+//! options — see [`subconsensus_sim::ExploreMetrics`]), so perf
 //! regressions are diffable across commits *and* attributable to a
-//! phase. The sharded rows are where `dedup_ns`/`merge_ns` shrink: the
-//! per-shard merge runs in parallel and only the tag-ordered feedback
-//! replay stays sequential. A `meta` block records the hardware thread
+//! phase. A `meta` block records the hardware thread
 //! count, git revision (plus a `dirty` flag when the worktree differs
 //! from it) and harness iteration budgets that produced the numbers.
 //!
@@ -44,9 +40,6 @@ use subconsensus_modelcheck::{
 use subconsensus_sim::{InternerStats, StoreMetrics, SystemSpec};
 
 const THREADS: [usize; 3] = [1, 2, 4];
-/// Shard counts benched at `threads = 1` (the sharded explorer runs one
-/// worker per shard; `threads` only shapes the unsharded rows).
-const SHARDS: [usize; 2] = [2, 4];
 const SAMPLE_SIZE: usize = 10;
 /// `max_configs` bound of the verdict-goal gate fixtures: big enough that
 /// the sym-off full graphs are meaningful (the p10/p12 gates truncate at
@@ -70,7 +63,7 @@ struct GraphFacts {
     edges: usize,
     truncated: bool,
     approx_bytes: usize,
-    /// Hash-consing arena stats (`None` on the deep store).
+    /// Hash-consing arena stats.
     interner: Option<InternerStats>,
     /// Per-phase wall-time breakdown (JSON object) of one instrumented
     /// post-warm-up exploration; its `total_ns` approximates the timed
@@ -283,10 +276,10 @@ fn main() {
 
     let mut c = Criterion::new();
     // Row metadata in the same order the harness records measurements:
-    // (fixture, threads, shards, symmetry, por, facts, full_configs if
+    // (fixture, threads, symmetry, por, facts, full_configs if
     // untruncated).
     #[allow(clippy::type_complexity)]
-    let mut rows: Vec<(&str, usize, usize, bool, bool, GraphFacts, Option<usize>)> = Vec::new();
+    let mut rows: Vec<(&str, usize, bool, bool, GraphFacts, Option<usize>)> = Vec::new();
     for fixture in &fixtures {
         let base = ExploreOptions::with_max_configs(fixture.max_configs);
         let full = facts(&fixture.spec, &base.clone());
@@ -296,19 +289,12 @@ fn main() {
         for symmetry in [false, true] {
             for por in [false, true] {
                 let opts_row = base.clone().with_symmetry(symmetry).with_por(por);
-                // Thread scaling at one shard, then shard scaling at one
-                // thread; (1, 1) leads so its facts anchor the GUARD line.
-                let grid = THREADS
-                    .iter()
-                    .map(|&t| (t, 1usize))
-                    .chain(SHARDS.iter().map(|&s| (1usize, s)));
+                // threads = 1 leads so its facts anchor the GUARD line.
                 let mut guard_facts: Option<GraphFacts> = None;
-                for (threads, shards) in grid {
-                    let opts = opts_row.clone().with_threads(threads).with_shards(shards);
+                for threads in THREADS {
+                    let opts = opts_row.clone().with_threads(threads);
                     // Per-row instrumented pass: phase breakdowns reflect
-                    // this row's exact thread/shard shape, not a shared
-                    // run's (threads=1/2/4 used to publish byte-identical
-                    // `phases` objects).
+                    // this row's exact thread count, not a shared run's.
                     let row_facts = facts(&fixture.spec, &opts);
                     match &guard_facts {
                         None => {
@@ -333,10 +319,10 @@ fn main() {
                             guard_facts = Some(row_facts.clone());
                         }
                         Some(first) => {
-                            // Thread- and shard-count independence checked
-                            // right here: every row of one (fixture,
-                            // symmetry, por) cell must produce the same
-                            // graph with the same footprint.
+                            // Thread-count independence checked right
+                            // here: every row of one (fixture, symmetry,
+                            // por) cell must produce the same graph with
+                            // the same footprint.
                             assert_eq!(
                                 (
                                     first.peak_configs,
@@ -350,22 +336,17 @@ fn main() {
                                     row_facts.truncated,
                                     row_facts.approx_bytes
                                 ),
-                                "{} sym={symmetry} por={por} t{threads} x{shards}: \
-                                 graph diverged from the t1 x1 row",
+                                "{} sym={symmetry} por={por} t{threads}: \
+                                 graph diverged from the t1 row",
                                 fixture.name
                             );
                         }
                     }
                     let label = format!(
-                        "{}{}{}{}",
+                        "{}{}{}",
                         fixture.name,
                         if symmetry { "/sym" } else { "" },
                         if por { "/por" } else { "" },
-                        if shards > 1 {
-                            format!("/shards{shards}")
-                        } else {
-                            String::new()
-                        }
                     );
                     g.bench_with_input(BenchmarkId::new(label, threads), &opts, |b, opts| {
                         b.iter(|| StateGraph::explore(&fixture.spec, opts).expect("explore"))
@@ -373,7 +354,6 @@ fn main() {
                     rows.push((
                         fixture.name,
                         threads,
-                        shards,
                         symmetry,
                         por,
                         row_facts,
@@ -391,16 +371,16 @@ fn main() {
     // few levels in, so the exploration must stop strictly before the
     // full graph is done, skip the freeze and reverse-CSR phases
     // entirely (asserted inside `verdict_facts`), and agree with the
-    // full-graph answer — all asserted here, and re-checked across shard
-    // counts. One `VERDICT` line per (fixture, symmetry, por) carries
-    // the deterministic facts for `scripts/bench_guard.sh` gate 3.
+    // full-graph answer — all asserted here. One `VERDICT` line per
+    // (fixture, symmetry, por) carries the deterministic facts for
+    // `scripts/bench_guard.sh` gate 2.
     // ------------------------------------------------------------------
     let verdict_fixtures = [
         ("e9_gate_grouped_p10_sym", grouped_gate_sym(2, 1, 10)),
         ("e9_gate_partition_p12_sym", partition_gate_sym(2, 6, 2)),
     ];
     #[allow(clippy::type_complexity)]
-    let mut vrows: Vec<(&str, usize, bool, bool, VerdictFacts, usize)> = Vec::new();
+    let mut vrows: Vec<(&str, bool, bool, VerdictFacts, usize)> = Vec::new();
     {
         let mut g = c.benchmark_group("e9_verdict");
         g.sample_size(SAMPLE_SIZE);
@@ -410,7 +390,7 @@ fn main() {
                     let base = ExploreOptions::with_max_configs(VERDICT_CAP)
                         .with_symmetry(symmetry)
                         .with_por(por);
-                    // Full-graph baseline at (threads 1, shards 1): the
+                    // Full-graph baseline at threads 1: the
                     // refutation must be visible in the expanded graph
                     // too (on the truncated sym-off rows the spin cycle
                     // still sits in the explored prefix, so the check is
@@ -421,66 +401,41 @@ fn main() {
                         !check_wait_freedom(&full).is_wait_free(),
                         "{name} sym={symmetry} por={por}: full graph misses the refutation"
                     );
-                    let mut anchor: Option<VerdictFacts> = None;
-                    for shards in [1usize, 4] {
-                        let opts =
-                            base.clone()
-                                .with_shards(shards)
-                                .with_goal(ExploreGoal::Verdict(
-                                    VerdictQuery::new().require_wait_freedom(),
-                                ));
-                        let vf = verdict_facts(spec, &opts);
-                        assert_eq!(
-                            vf.holds,
-                            Some(false),
-                            "{name} sym={symmetry} por={por} x{shards}: \
-                             verdict disagrees with the full-graph refutation"
-                        );
-                        assert!(
-                            vf.configs < full_peak,
-                            "{name} sym={symmetry} por={por} x{shards}: verdict explored \
-                             {} configs, full graph {full_peak} — no early exit",
-                            vf.configs
-                        );
-                        match &anchor {
-                            None => {
-                                println!(
-                                    "VERDICT {name} {symmetry} {por} {} {full_peak} {} {}",
-                                    vf.configs,
-                                    match vf.holds {
-                                        Some(true) => "holds",
-                                        Some(false) => "refuted",
-                                        None => "undecided",
-                                    },
-                                    vf.cause
-                                );
-                                anchor = Some(vf.clone());
-                            }
-                            Some(first) => assert_eq!(
-                                // `phases` carries wall-clock numbers; every
-                                // other field must be shard-count invariant.
-                                (
-                                    first.configs,
-                                    first.edges,
-                                    first.truncated,
-                                    first.holds,
-                                    &first.cause
-                                ),
-                                (vf.configs, vf.edges, vf.truncated, vf.holds, &vf.cause),
-                                "{name} sym={symmetry} por={por}: verdict facts \
-                                 diverged between shard counts"
-                            ),
-                        }
-                        let label = format!(
-                            "{name}{}{}/verdict",
-                            if symmetry { "/sym" } else { "" },
-                            if por { "/por" } else { "" },
-                        );
-                        g.bench_with_input(BenchmarkId::new(label, shards), &opts, |b, opts| {
-                            b.iter(|| StateGraph::explore(spec, opts).expect("explore"))
-                        });
-                        vrows.push((name, shards, symmetry, por, vf, full_peak));
-                    }
+                    let opts = base.with_goal(ExploreGoal::Verdict(
+                        VerdictQuery::new().require_wait_freedom(),
+                    ));
+                    let vf = verdict_facts(spec, &opts);
+                    assert_eq!(
+                        vf.holds,
+                        Some(false),
+                        "{name} sym={symmetry} por={por}: \
+                         verdict disagrees with the full-graph refutation"
+                    );
+                    assert!(
+                        vf.configs < full_peak,
+                        "{name} sym={symmetry} por={por}: verdict explored \
+                         {} configs, full graph {full_peak} — no early exit",
+                        vf.configs
+                    );
+                    println!(
+                        "VERDICT {name} {symmetry} {por} {} {full_peak} {} {}",
+                        vf.configs,
+                        match vf.holds {
+                            Some(true) => "holds",
+                            Some(false) => "refuted",
+                            None => "undecided",
+                        },
+                        vf.cause
+                    );
+                    let label = format!(
+                        "{name}{}{}/verdict",
+                        if symmetry { "/sym" } else { "" },
+                        if por { "/por" } else { "" },
+                    );
+                    g.bench_with_input(BenchmarkId::new(label, 1), &opts, |b, opts| {
+                        b.iter(|| StateGraph::explore(spec, opts).expect("explore"))
+                    });
+                    vrows.push((name, symmetry, por, vf, full_peak));
                 }
             }
         }
@@ -493,7 +448,7 @@ fn main() {
     // every row actually spills (asserted). The graph facts — including
     // `approx_bytes`, after the freeze-time unspill — must be identical
     // to an explicit in-memory run; one `SPILL` line per fixture feeds
-    // `scripts/bench_guard.sh` gate 4.
+    // `scripts/bench_guard.sh` gate 3.
     // ------------------------------------------------------------------
     let disk_budget: usize = 2 << 10;
     let disk_fixtures = [
@@ -513,7 +468,7 @@ fn main() {
         ),
     ];
     #[allow(clippy::type_complexity)]
-    let mut drows: Vec<(&str, usize, bool, bool, GraphFacts, StoreMetrics)> = Vec::new();
+    let mut drows: Vec<(&str, bool, bool, GraphFacts, StoreMetrics)> = Vec::new();
     {
         let mut g = c.benchmark_group("e9_disk");
         g.sample_size(SAMPLE_SIZE);
@@ -521,49 +476,43 @@ fn main() {
             let base = ExploreOptions::with_max_configs(*cap)
                 .with_symmetry(*symmetry)
                 .with_por(*por);
-            // Explicitly memory-backed baseline: gate 4 re-runs this bench
+            // Explicitly memory-backed baseline: gate 3 re-runs this bench
             // with MC_STORE=disk in the environment, and the comparison
             // must stay disk-vs-memory there too.
             let mem = facts(spec, &base.clone().with_store(StoreBackend::Memory));
-            for shards in [1usize, 4] {
-                let opts = base
-                    .clone()
-                    .with_shards(shards)
-                    .with_store(StoreBackend::Disk)
-                    .with_store_budget(disk_budget);
-                let row_facts = facts(spec, &opts);
-                assert_eq!(
-                    (mem.peak_configs, mem.edges, mem.truncated, mem.approx_bytes),
-                    (
-                        row_facts.peak_configs,
-                        row_facts.edges,
-                        row_facts.truncated,
-                        row_facts.approx_bytes
-                    ),
-                    "{name} sym={symmetry} por={por} x{shards}: \
-                     disk-store graph diverged from the in-memory one"
-                );
-                let sm = row_facts.store.expect("disk rows report store metrics");
-                assert!(
-                    sm.spilled_bytes > 0,
-                    "{name} x{shards}: a {disk_budget} B hot tier must force spill"
-                );
-                if shards == 1 {
-                    println!(
-                        "SPILL {name} {symmetry} {por} {} {}",
-                        sm.spilled_bytes, sm.reload_count
-                    );
-                }
-                let label = format!(
-                    "{name}{}{}/disk",
-                    if *symmetry { "/sym" } else { "" },
-                    if *por { "/por" } else { "" },
-                );
-                g.bench_with_input(BenchmarkId::new(label, shards), &opts, |b, opts| {
-                    b.iter(|| StateGraph::explore(spec, opts).expect("explore"))
-                });
-                drows.push((name, shards, *symmetry, *por, row_facts, sm));
-            }
+            let opts = base
+                .with_store(StoreBackend::Disk)
+                .with_store_budget(disk_budget);
+            let row_facts = facts(spec, &opts);
+            assert_eq!(
+                (mem.peak_configs, mem.edges, mem.truncated, mem.approx_bytes),
+                (
+                    row_facts.peak_configs,
+                    row_facts.edges,
+                    row_facts.truncated,
+                    row_facts.approx_bytes
+                ),
+                "{name} sym={symmetry} por={por}: \
+                 disk-store graph diverged from the in-memory one"
+            );
+            let sm = row_facts.store.expect("disk rows report store metrics");
+            assert!(
+                sm.spilled_bytes > 0,
+                "{name}: a {disk_budget} B hot tier must force spill"
+            );
+            println!(
+                "SPILL {name} {symmetry} {por} {} {}",
+                sm.spilled_bytes, sm.reload_count
+            );
+            let label = format!(
+                "{name}{}{}/disk",
+                if *symmetry { "/sym" } else { "" },
+                if *por { "/por" } else { "" },
+            );
+            g.bench_with_input(BenchmarkId::new(label, 1), &opts, |b, opts| {
+                b.iter(|| StateGraph::explore(spec, opts).expect("explore"))
+            });
+            drows.push((name, *symmetry, *por, row_facts, sm));
         }
         g.finish();
     }
@@ -574,8 +523,7 @@ fn main() {
     let (full_meas, rest_meas) = meas.split_at(rows.len());
     let (verdict_meas, disk_meas) = rest_meas.split_at(vrows.len());
     let mut kernels = String::new();
-    for (m, (name, threads, shards, symmetry, por, facts_row, full_configs)) in
-        full_meas.iter().zip(&rows)
+    for (m, (name, threads, symmetry, por, facts_row, full_configs)) in full_meas.iter().zip(&rows)
     {
         let secs = m.median_ns / 1e9;
         let configs_per_sec = if secs > 0.0 {
@@ -592,8 +540,7 @@ fn main() {
             None => "null".to_string(),
         };
         let bytes_per_config = facts_row.bytes_per_config();
-        // Interner-table stats of the hash-consed (default) store; `null`s
-        // would mean the row ran on the deep store.
+        // Interner-table stats of the hash-consed store.
         let interner = match &facts_row.interner {
             Some(s) => s.to_json(),
             None => "null".to_string(),
@@ -604,7 +551,6 @@ fn main() {
         let phases = &facts_row.phases;
         kernels.push_str(&format!(
             "    {{\"fixture\": \"{name}\", \"threads\": {threads}, \
-             \"shards\": {shards}, \
              \"symmetry\": {symmetry}, \"por\": {por}, \"peak_configs\": {}, \
              \"edges\": {}, \"truncated\": {}, \"approx_bytes_per_config\": \
              {bytes_per_config}, \"interner\": {interner}, \
@@ -624,7 +570,7 @@ fn main() {
     // Verdict-goal rows. `"goal"` sits right after `"fixture"` so the
     // per-fixture greps in scripts/bench_guard.sh (which anchor on
     // `"fixture": ..., "threads":`) can never match a verdict row.
-    for (m, (name, shards, symmetry, por, vf, full_peak)) in verdict_meas.iter().zip(&vrows) {
+    for (m, (name, symmetry, por, vf, full_peak)) in verdict_meas.iter().zip(&vrows) {
         let secs = m.median_ns / 1e9;
         let configs_per_sec = if secs > 0.0 {
             vf.configs as f64 / secs
@@ -638,7 +584,7 @@ fn main() {
         kernels.push_str(",\n");
         kernels.push_str(&format!(
             "    {{\"fixture\": \"{name}\", \"goal\": \"verdict\", \
-             \"threads\": 1, \"shards\": {shards}, \
+             \"threads\": 1, \
              \"symmetry\": {symmetry}, \"por\": {por}, \"peak_configs\": {}, \
              \"edges\": {}, \"truncated\": {}, \"holds\": {holds}, \
              \"cause\": \"{}\", \"full_peak_configs\": {full_peak}, \
@@ -659,7 +605,7 @@ fn main() {
     // Disk-store rows. `"store"` sits right after `"fixture"` for the same
     // reason `"goal"` does on the verdict rows: the per-fixture greps in
     // scripts/bench_guard.sh must never match one.
-    for (m, (name, shards, symmetry, por, facts_row, sm)) in disk_meas.iter().zip(&drows) {
+    for (m, (name, symmetry, por, facts_row, sm)) in disk_meas.iter().zip(&drows) {
         let secs = m.median_ns / 1e9;
         let configs_per_sec = if secs > 0.0 {
             facts_row.peak_configs as f64 / secs
@@ -670,7 +616,6 @@ fn main() {
         kernels.push_str(&format!(
             "    {{\"fixture\": \"{name}\", \"store\": \"disk\", \
              \"store_budget\": {disk_budget}, \"threads\": 1, \
-             \"shards\": {shards}, \
              \"symmetry\": {symmetry}, \"por\": {por}, \"peak_configs\": {}, \
              \"edges\": {}, \"truncated\": {}, \"approx_bytes_per_config\": {}, \
              \"spill\": {}, \"phases\": {}, \

@@ -40,6 +40,10 @@ mod spill;
 mod valency;
 mod verdict;
 
+#[cfg(test)]
+#[path = "../../../tests/support/reference.rs"]
+mod reference;
+
 pub use graph::{Edge, ExploreOptions, GraphStats, NodeView, StateGraph, StoreBackend};
 pub use properties::{
     check_nonblocking, check_nonblocking_with, check_wait_freedom, max_distinct_decisions,

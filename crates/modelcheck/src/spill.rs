@@ -1,9 +1,9 @@
-//! Disk spill backend for the interned exploration stores.
+//! Disk spill backend for the interned exploration store.
 //!
-//! The interned stores are file-shaped already: node rows are fixed-stride
+//! The interned store is file-shaped already: node rows are fixed-stride
 //! `u32` id arrays appended in discovery order, arena ids are dense and
 //! append-only, and the fingerprint index is a flat `fp → ids` multimap.
-//! This module gives `CompactStore` / `CompactShard` (see `graph.rs`) a
+//! This module gives `CompactStore` (see `graph.rs`) a
 //! bounded hot tier by spilling each of those to append-only files under a
 //! per-exploration run directory:
 //!
@@ -45,8 +45,8 @@ pub(crate) const DEFAULT_DISK_BUDGET: usize = 256 << 20;
 /// fingerprint bits), so a dedup probe scans `1/16` of the spilled index.
 const INDEX_BUCKETS: usize = 16;
 
-/// Distinguishes run directories of concurrent explorations in one process
-/// (sharded runs create one per shard).
+/// Distinguishes run directories of concurrent explorations in one
+/// process.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// An owned run directory, removed (recursively) on drop.

@@ -109,7 +109,7 @@ pub fn git_revision() -> &'static str {
 /// Snapshot of every `MC_*` environment variable currently set, as one
 /// JSON object with sorted keys. Captured into each [`RunRecord`] so a
 /// ledger line is interpretable without knowing what the shell looked
-/// like: `MC_SHARDS`, `MC_STORE`, `MC_STORE_BUDGET` and friends all shape
+/// like: `MC_STORE`, `MC_STORE_BUDGET` and friends all shape
 /// the run but live outside [`ExploreMetrics`].
 pub fn mc_env_json() -> String {
     let mut vars: Vec<(String, String)> = std::env::vars()
@@ -142,14 +142,14 @@ pub struct RunRecord {
     /// Short git revision of the binary's working tree ([`git_revision`]).
     pub git_revision: String,
     /// The effective `ExploreOptions` as one JSON object (env-resolved
-    /// shards/store/budget included), pre-rendered by the caller.
+    /// store/budget included), pre-rendered by the caller.
     pub options_json: String,
     /// What the run produced, as one JSON object: graph facts
     /// (`{"kind": "graph", ...}`) or a streaming verdict
     /// (`{"kind": "verdict", ...}`).
     pub outcome_json: String,
     /// The complete [`ExploreMetrics::to_json`] payload (phases, levels,
-    /// shards, store, truncation).
+    /// store, truncation).
     pub metrics_json: String,
 }
 
@@ -373,73 +373,6 @@ impl fmt::Display for ProgressReport {
     }
 }
 
-/// Per-shard telemetry of one sharded exploration: phase wall times of the
-/// shard's own expand/merge work plus its share of the partitioned graph
-/// and cross-shard traffic. Collected into
-/// [`ExploreMetrics::shards`]; empty for unsharded runs.
-///
-/// The `*_ns` fields are per-shard wall times. The *aggregate*
-/// [`ExploreMetrics`] phase fields absorb the **maximum** over shards per
-/// phase (the parallel critical path), so the headline `dedup_ns +
-/// merge_ns` share honestly reflects what sharding removes from the
-/// critical path even on machines where the shards run sequentially.
-#[derive(Clone, Debug, Default)]
-pub struct ShardMetrics {
-    /// Shard index (`0..shards`).
-    pub shard: usize,
-    /// Wall time stepping successors of this shard's frontier items.
-    pub expand_ns: u64,
-    /// Wall time canonicalizing this shard's successors.
-    pub canonicalize_ns: u64,
-    /// Wall time on POR footprints / ample sets / sleep filters.
-    pub por_ns: u64,
-    /// Wall time fingerprinting + deduplicating (worker lookups plus this
-    /// shard's merge-side intern/find-or-insert).
-    pub dedup_ns: u64,
-    /// Wall time in this shard's merge outside of insertion.
-    pub merge_ns: u64,
-    /// Nodes owned by this shard in the final graph.
-    pub nodes: usize,
-    /// Edges recorded by this shard (edges live with the *source* node).
-    pub edges: usize,
-    /// Successors this shard generated that were owned by another shard.
-    pub sent: u64,
-    /// Successors merged by this shard that another shard generated.
-    pub received: u64,
-    /// Largest cross-shard inbox (queue depth) this shard ever drained in
-    /// one level — the high-water mark of routed traffic aimed at it.
-    pub max_outbox: usize,
-    /// Bounded-queue flushes this shard's workers performed into other
-    /// shards' sinks (each flush moves at most one chunk, so per-worker
-    /// staging memory stays bounded no matter how hot a shard runs).
-    pub outbox_flushes: u64,
-}
-
-impl ShardMetrics {
-    /// The shard breakdown as one flat JSON object (the members of
-    /// [`ExploreMetrics::to_json`]'s `shards` array).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shard\": {}, \"expand_ns\": {}, \"canonicalize_ns\": {}, \
-             \"por_ns\": {}, \"dedup_ns\": {}, \"merge_ns\": {}, \
-             \"nodes\": {}, \"edges\": {}, \"sent\": {}, \"received\": {}, \
-             \"max_outbox\": {}, \"outbox_flushes\": {}}}",
-            self.shard,
-            self.expand_ns,
-            self.canonicalize_ns,
-            self.por_ns,
-            self.dedup_ns,
-            self.merge_ns,
-            self.nodes,
-            self.edges,
-            self.sent,
-            self.received,
-            self.max_outbox,
-            self.outbox_flushes
-        )
-    }
-}
-
 /// The metrics snapshot attached to every explored
 /// [`StateGraph`](../subconsensus_modelcheck/struct.StateGraph.html).
 ///
@@ -500,10 +433,6 @@ pub struct ExploreMetrics {
     pub expansions: u64,
     /// One record per BFS level.
     pub levels: Vec<LevelMetrics>,
-    /// Per-shard breakdowns of a sharded exploration (empty when the run
-    /// used one shard). Kept out of [`phases_json`](Self::phases_json) —
-    /// that object stays flat for the bench guard's line-oriented diffing.
-    pub shards: Vec<ShardMetrics>,
     /// Peak resident-byte estimate of the exploration: the high-water mark
     /// of the store's per-level estimate (rows + arenas + fingerprint
     /// index), floored at the frozen graph's footprint.
@@ -571,14 +500,13 @@ impl ExploreMetrics {
             Some(s) => s.to_json(),
         };
         let levels: Vec<String> = self.levels.iter().map(|l| l.to_json()).collect();
-        let shards: Vec<String> = self.shards.iter().map(|s| s.to_json()).collect();
         format!(
             "{{\"configs\": {}, \"edges\": {}, \"generated\": {}, \
              \"dedup_hits\": {}, \"added\": {}, \"capped\": {}, \
              \"symmetry_hits\": {}, \"sleep_pruned\": {}, \"expansions\": {}, \
              \"peak_bytes\": {}, \"truncation\": {truncation}, \
              \"store\": {store}, \
-             \"timed\": {}, \"phases\": {}, \"shards\": [{}], \"levels\": [{}]}}",
+             \"timed\": {}, \"phases\": {}, \"levels\": [{}]}}",
             self.configs,
             self.edges,
             self.generated,
@@ -591,7 +519,6 @@ impl ExploreMetrics {
             self.peak_bytes,
             self.timed,
             self.phases_json(),
-            shards.join(", "),
             levels.join(", ")
         )
     }
@@ -860,7 +787,6 @@ pub struct Recorder {
     spill_write_ns: AtomicU64,
     spill_read_ns: AtomicU64,
     levels: Mutex<Vec<LevelMetrics>>,
-    shard_metrics: Mutex<Vec<ShardMetrics>>,
     heartbeat: Option<Heartbeat>,
     trace: Option<Mutex<BufWriter<File>>>,
     /// Ledger path: one [`RunRecord`] JSONL line appended per exploration
@@ -917,7 +843,6 @@ impl Recorder {
             spill_write_ns: AtomicU64::new(0),
             spill_read_ns: AtomicU64::new(0),
             levels: Mutex::new(Vec::new()),
-            shard_metrics: Mutex::new(Vec::new()),
             heartbeat: None,
             trace: None,
             run_log: None,
@@ -1251,8 +1176,8 @@ impl Recorder {
     /// per-item merge loops, so a single long level still reports every
     /// interval; mid-level calls pass the current level's size as
     /// `frontier`. The claim on `last` is a compare-exchange: concurrent
-    /// ticks from parallel shards race to one winner per interval instead
-    /// of multiplying reports.
+    /// ticks from parallel expansion workers race to one winner per
+    /// interval instead of multiplying reports.
     pub fn heartbeat(&self, level: u32, explored: usize, frontier: usize, bound_remaining: usize) {
         let Some(hb) = &self.heartbeat else { return };
         let expansions = self.expansions.load(Ordering::Relaxed);
@@ -1265,7 +1190,7 @@ impl Recorder {
             .compare_exchange(last, expansions, Ordering::Relaxed, Ordering::Relaxed)
             .is_err()
         {
-            return; // another shard claimed this interval
+            return; // another worker claimed this interval
         }
         let report = self.build_report(hb, level, explored, frontier, bound_remaining, expansions);
         if let Some(callback) = &hb.callback {
@@ -1371,96 +1296,6 @@ impl Recorder {
         status.write(&report, "done");
     }
 
-    /// A timers-only child recorder for one shard of a sharded
-    /// exploration: same timing flag as `self`, no heartbeat or trace sink
-    /// (those stay on the parent, which all counters also go to — shards
-    /// only accumulate their own phase times, later folded back in via
-    /// [`absorb_parallel`](Self::absorb_parallel)).
-    pub fn shard_child(&self) -> Recorder {
-        let mut child = Recorder::new();
-        child.timing = self.timing;
-        child
-    }
-
-    /// Folds per-shard phase timers into this recorder as the parallel
-    /// critical path: for each phase slot, adds the **maximum** over
-    /// `children`. Shards run concurrently (or are the units that *would*
-    /// run concurrently on multicore hardware), so the slowest shard per
-    /// phase is what wall time cannot go below — summing would misreport
-    /// the aggregate as if the shards ran back-to-back.
-    pub fn absorb_parallel(&self, children: &[Recorder]) {
-        for i in 0..NSLOTS {
-            let max = children
-                .iter()
-                .map(|c| c.slots[i].load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0);
-            self.slots[i].fetch_add(max, Ordering::Relaxed);
-            // Same critical-path view for the invocation counts: the busiest
-            // shard's call count, not the fleet-wide sum.
-            let max_calls = children
-                .iter()
-                .map(|c| c.slot_calls[i].load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0);
-            self.slot_calls[i].fetch_add(max_calls, Ordering::Relaxed);
-        }
-        // Spill *counters* are conserved quantities (bytes written, faults
-        // taken) so they sum; the spill I/O times follow the critical-path
-        // rule like the phase slots.
-        let sum = |f: fn(&Recorder) -> &AtomicU64| {
-            children
-                .iter()
-                .map(|c| f(c).load(Ordering::Relaxed))
-                .sum::<u64>()
-        };
-        let max = |f: fn(&Recorder) -> &AtomicU64| {
-            children
-                .iter()
-                .map(|c| f(c).load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0)
-        };
-        self.spilled_bytes
-            .fetch_add(sum(|c| &c.spilled_bytes), Ordering::Relaxed);
-        self.store_reloads
-            .fetch_add(sum(|c| &c.store_reloads), Ordering::Relaxed);
-        self.store_hot_hits
-            .fetch_add(sum(|c| &c.store_hot_hits), Ordering::Relaxed);
-        self.store_hot_misses
-            .fetch_add(sum(|c| &c.store_hot_misses), Ordering::Relaxed);
-        self.spill_write_ns
-            .fetch_add(max(|c| &c.spill_write_ns), Ordering::Relaxed);
-        self.spill_read_ns
-            .fetch_add(max(|c| &c.spill_read_ns), Ordering::Relaxed);
-    }
-
-    /// This recorder's phase times viewed as one shard's [`ShardMetrics`]
-    /// (the graph-shape and traffic fields are zero; the sharded explorer
-    /// fills them). Uses the same slot combination as
-    /// [`snapshot`](Self::snapshot): dedup = worker lookups + merge
-    /// inserts, merge = merge block minus inserts.
-    pub fn shard_phases(&self, shard: usize) -> ShardMetrics {
-        let slot = |i: usize| self.slots[i].load(Ordering::Relaxed);
-        let merge_insert = slot(SLOT_MERGE_INSERT);
-        ShardMetrics {
-            shard,
-            expand_ns: slot(SLOT_EXPAND),
-            canonicalize_ns: slot(SLOT_CANON),
-            por_ns: slot(SLOT_POR),
-            dedup_ns: slot(SLOT_WORKER_DEDUP) + merge_insert,
-            merge_ns: slot(SLOT_MERGE_BLOCK).saturating_sub(merge_insert),
-            ..ShardMetrics::default()
-        }
-    }
-
-    /// Records the per-shard breakdowns onto the final snapshot (the
-    /// recorder itself is counters + timers only, so the sharded explorer
-    /// hands the collected [`ShardMetrics`] to the snapshot directly).
-    pub fn set_shards(&self, shards: Vec<ShardMetrics>) {
-        *self.shard_metrics.lock().expect("shard metrics lock") = shards;
-    }
-
     /// Snapshots the recorder into an [`ExploreMetrics`]. The graph-shape
     /// fields (`configs`, `edges`, `peak_bytes`) are zero here; the
     /// explorer overwrites them from the frozen graph.
@@ -1508,11 +1343,6 @@ impl Recorder {
             sleep_pruned: self.sleep_pruned.load(Ordering::Relaxed),
             expansions: self.expansions.load(Ordering::Relaxed),
             levels: self.levels.lock().expect("levels lock").clone(),
-            shards: self
-                .shard_metrics
-                .lock()
-                .expect("shard metrics lock")
-                .clone(),
             peak_bytes: self.peak_bytes.load(Ordering::Relaxed) as usize,
             store,
             truncation: if budget != u64::MAX {
@@ -1658,58 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_parallel_takes_max_per_slot() {
-        let main = Recorder::new().with_timing();
-        let a = main.shard_child();
-        let b = main.shard_child();
-        assert!(a.is_timing() && b.is_timing());
-        {
-            let _t = a.time_dedup();
-            std::thread::sleep(Duration::from_millis(3));
-        }
-        {
-            let _t = b.time_dedup();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        main.absorb_parallel(&[a, b]);
-        let m = main.snapshot();
-        // Critical path = the slower shard, not the sum of both.
-        let slower = 3_000_000;
-        let sum = 4_000_000;
-        assert!(m.dedup_ns >= slower / 2, "dedup absorbed: {}", m.dedup_ns);
-        assert!(
-            m.dedup_ns < sum + slower,
-            "dedup must be a max, not a sum: {}",
-            m.dedup_ns
-        );
-    }
-
-    #[test]
-    fn shard_metrics_surface_in_snapshot_json() {
-        let rec = Recorder::new();
-        let child = rec.shard_child();
-        let mut sm = child.shard_phases(1);
-        sm.nodes = 7;
-        sm.sent = 3;
-        rec.set_shards(vec![sm]);
-        let m = rec.snapshot();
-        assert_eq!(m.shards.len(), 1);
-        assert_eq!(m.shards[0].shard, 1);
-        assert_eq!(m.shards[0].nodes, 7);
-        let json = m.to_json();
-        assert!(json.contains("\"shards\": [{\"shard\": 1,"), "{json}");
-        // The flat phases object must not gain nested shard data: the bench
-        // guard strips `"phases": {...}` with a brace-free regex.
-        let phases = m.phases_json();
-        assert!(!phases.contains("shard"), "{phases}");
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON: {json}"
-        );
-    }
-
-    #[test]
     fn concurrent_heartbeat_claims_once_per_interval() {
         use std::sync::atomic::AtomicUsize;
         use std::sync::Arc;
@@ -1719,7 +1497,7 @@ mod tests {
             hits2.fetch_add(1, Ordering::SeqCst);
         });
         rec.count_expansions(2);
-        // Two "shards" observe the same interval; only one may fire.
+        // Two workers observe the same interval; only one may fire.
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| rec.heartbeat(0, 1, 1, 10));

@@ -9,8 +9,8 @@
 
 use subconsensus_sim::json::JsonValue;
 use subconsensus_sim::{
-    warn_once, ExploreMetrics, InternerStats, LevelMetrics, Recorder, RunRecord, ShardMetrics,
-    StoreMetrics, TruncationCause,
+    warn_once, ExploreMetrics, InternerStats, LevelMetrics, Recorder, RunRecord, StoreMetrics,
+    TruncationCause,
 };
 
 fn parse(json: &str) -> JsonValue {
@@ -40,29 +40,6 @@ fn level_metrics_round_trip() {
     assert_eq!(u(&v, "nodes"), 42);
     assert_eq!(u(&v, "edges"), 99);
     assert_eq!(u(&v, "elapsed_ns"), 123_456);
-}
-
-#[test]
-fn shard_metrics_round_trip() {
-    let shard = ShardMetrics {
-        shard: 2,
-        expand_ns: 1,
-        canonicalize_ns: 2,
-        por_ns: 3,
-        dedup_ns: 4,
-        merge_ns: 5,
-        nodes: 6,
-        edges: 7,
-        sent: 8,
-        received: 9,
-        max_outbox: 10,
-        outbox_flushes: 11,
-    };
-    let v = parse(&shard.to_json());
-    assert_eq!(u(&v, "shard"), 2);
-    assert_eq!(u(&v, "nodes"), 6);
-    assert_eq!(u(&v, "sent"), 8);
-    assert_eq!(u(&v, "outbox_flushes"), 11);
 }
 
 #[test]
@@ -102,8 +79,8 @@ fn interner_stats_round_trip() {
     assert!((rate - 0.9).abs() < 1e-4, "hit_rate {rate}");
 }
 
-/// A fully-populated snapshot: every optional branch (levels, shards,
-/// store, truncation) on at once.
+/// A fully-populated snapshot: every optional branch (levels, store,
+/// truncation) on at once.
 fn busy_metrics() -> ExploreMetrics {
     ExploreMetrics {
         expand_ns: 11,
@@ -144,12 +121,6 @@ fn busy_metrics() -> ExploreMetrics {
                 elapsed_ns: 20,
             },
         ],
-        shards: vec![ShardMetrics {
-            shard: 0,
-            nodes: 1000,
-            edges: 2500,
-            ..Default::default()
-        }],
         peak_bytes: 123_456,
         store: Some(StoreMetrics {
             spilled_bytes: 777,
@@ -175,8 +146,6 @@ fn explore_metrics_round_trip() {
     let levels = v.get("levels").and_then(JsonValue::as_array).unwrap();
     assert_eq!(levels.len(), 2);
     assert_eq!(u(&levels[1], "nodes"), 1000);
-    let shards = v.get("shards").and_then(JsonValue::as_array).unwrap();
-    assert_eq!(shards.len(), 1);
     let trunc = v.get("truncation").expect("truncation object");
     assert_eq!(
         trunc.get("cause").and_then(JsonValue::as_str),
@@ -217,7 +186,7 @@ fn run_record_round_trip() {
         started_unix_ms: 1_700_000_000_000,
         ended_unix_ms: 1_700_000_001_500,
         git_revision: "abc123def456".to_string(),
-        options_json: "{\"max_configs\": 200000, \"shards\": 4}".to_string(),
+        options_json: "{\"max_configs\": 200000, \"threads\": 4}".to_string(),
         outcome_json: "{\"kind\": \"graph\", \"configs\": 42, \"edges\": 99, \
                        \"terminals\": 3, \"truncated\": false}"
             .to_string(),
@@ -236,7 +205,7 @@ fn run_record_round_trip() {
         Some("abc123def456")
     );
     assert!(v.get("env").and_then(JsonValue::as_object).is_some());
-    assert_eq!(u(v.get("options").unwrap(), "shards"), 4);
+    assert_eq!(u(v.get("options").unwrap(), "threads"), 4);
     assert_eq!(
         v.get("outcome")
             .unwrap()

@@ -229,8 +229,7 @@ fn id_equality_and_fingerprints_survive_reload() {
             interner.evict_proc_segment(seg);
         }
         // Content fingerprints never dereference values, so they must be
-        // computable — and unchanged — while the states are cold. Shard
-        // routing relies on exactly this.
+        // computable — and unchanged — while the states are cold.
         for ((_, x), fp) in pairs.iter().zip(&fps) {
             assert_eq!(
                 interner.content_fingerprint_words(x.nobjects(), x.words()),

@@ -4,12 +4,12 @@
 //! reductions, the streaming answer must
 //!
 //! 1. *agree* — `holds()` decides exactly the full-graph answer on every
-//!    untruncated run, across shard counts × POR × symmetry;
+//!    untruncated run, across POR × symmetry;
 //! 2. stay *one-sided sound* when truncated — never `Some(true)`, any
 //!    `Some(false)` backed by the full graph, and every bound
 //!    (`max_distinct.lower`, `root_valence`) a valid lower approximation;
 //! 3. leave the graph *verdict-only* — CSR-consuming analyses
-//!    (`edges`, `find_critical`, sharded `node`) panic with an actionable
+//!    (`edges`, `find_critical`) panic with an actionable
 //!    message instead of reading adjacency that was never frozen.
 //!
 //! Written over the in-tree seeded [`SmallRng`] (repo style: seeded loops,
@@ -454,7 +454,7 @@ fn assert_bounds_sound(
 }
 
 // ---------------------------------------------------------------------------
-// 1. Agreement on untruncated runs, across shards × POR × symmetry.
+// 1. Agreement on untruncated runs, across POR × symmetry.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -470,42 +470,36 @@ fn streaming_verdicts_agree_with_full_graph_across_reductions() {
                 for _ in 0..4 {
                     let query = random_query(&mut rng);
                     let expected = expected_answer(&query, &truth);
-                    for shards in [1usize, 4] {
-                        let label =
-                            format!("{name} sym={symmetry} por={por} x{shards} query={query:?}");
-                        let g = StateGraph::explore(
-                            &spec,
-                            &base
-                                .clone()
-                                .with_shards(shards)
-                                .with_goal(ExploreGoal::Verdict(query.clone())),
-                        )
-                        .expect("verdict explore");
-                        assert!(g.is_verdict_only(), "{label}: graph not verdict-only");
-                        let vd = g.verdict().expect("verdict present");
-                        assert!(
-                            !matches!(vd.cause, VerdictCause::Truncated { .. }),
-                            "{label}: unexpectedly truncated"
+                    let label = format!("{name} sym={symmetry} por={por} query={query:?}");
+                    let g = StateGraph::explore(
+                        &spec,
+                        &base.clone().with_goal(ExploreGoal::Verdict(query.clone())),
+                    )
+                    .expect("verdict explore");
+                    assert!(g.is_verdict_only(), "{label}: graph not verdict-only");
+                    let vd = g.verdict().expect("verdict present");
+                    assert!(
+                        !matches!(vd.cause, VerdictCause::Truncated { .. }),
+                        "{label}: unexpectedly truncated"
+                    );
+                    assert_eq!(
+                        vd.holds(),
+                        Some(expected),
+                        "{label}: streaming answer diverges from the full graph \
+                         (cause {:?})",
+                        vd.cause
+                    );
+                    assert_bounds_sound(vd, &truth, &label);
+                    if vd.complete() {
+                        assert_eq!(
+                            vd.max_distinct.exact(),
+                            Some(truth.max_distinct),
+                            "{label}: complete run's exact distinct count"
                         );
                         assert_eq!(
-                            vd.holds(),
-                            Some(expected),
-                            "{label}: streaming answer diverges from the full graph \
-                             (cause {:?})",
-                            vd.cause
+                            vd.root_valence, truth.valence,
+                            "{label}: complete run's root valence"
                         );
-                        assert_bounds_sound(vd, &truth, &label);
-                        if vd.complete() {
-                            assert_eq!(
-                                vd.max_distinct.exact(),
-                                Some(truth.max_distinct),
-                                "{label}: complete run's exact distinct count"
-                            );
-                            assert_eq!(
-                                vd.root_valence, truth.valence,
-                                "{label}: complete run's root valence"
-                            );
-                        }
                     }
                 }
             }
@@ -614,19 +608,4 @@ fn find_critical_panics_on_verdict_only_graph() {
 fn edges_panic_on_verdict_only_graph() {
     let g = verdict_only_graph();
     let _ = g.edges(0);
-}
-
-#[test]
-#[should_panic(expected = "never gathered")]
-fn node_contents_panic_on_sharded_verdict_only_graph() {
-    let g = StateGraph::explore(
-        &gate_system(3),
-        &ExploreOptions::default()
-            .with_shards(4)
-            .with_goal(ExploreGoal::Verdict(
-                VerdictQuery::new().require_wait_freedom(),
-            )),
-    )
-    .expect("verdict explore");
-    let _ = g.node(0);
 }

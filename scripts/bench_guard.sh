@@ -1,17 +1,9 @@
 #!/usr/bin/env bash
-# Deterministic bench guard, five gates:
+# Deterministic bench guard, four gates:
 #
-# 1. Shard-count independence: the e9 smoke bench runs twice — once with
-#    MC_SHARDS=1 and once with MC_SHARDS=4, so the second run routes every
-#    exploration through the fingerprint-partitioned explorer — and the
-#    GUARD lines (peak_configs, edges, truncated,
-#    approx_bytes_per_config) must be *identical*. Any divergence in
-#    configs, edges or bytes means the sharded explorer no longer
-#    reproduces the single-store graph and fails the gate.
-#
-# 2. Baseline regression: the MC_SHARDS=1 facts for every (fixture,
+# 1. Baseline regression: the smoke run's facts for every (fixture,
 #    symmetry, por) combination are compared against the committed
-#    BENCH_modelcheck.json (threads=1, shards=1 rows). Timing fields are
+#    BENCH_modelcheck.json (threads=1 rows). Timing fields are
 #    machine-dependent and ignored; the graph facts — including the
 #    frozen store's per-config memory — are deterministic, so any growth
 #    (more configs, more edges, more bytes per config, or a completing
@@ -19,14 +11,13 @@
 #    gate. Shrinkage is an improvement: it passes here and shows up in
 #    the next full bench run.
 #
-# 3. Verdict-goal agreement: the smoke bench's VERDICT lines (one per
+# 2. Verdict-goal early exit: the smoke bench's VERDICT lines (one per
 #    gate fixture x symmetry x por; the in-bench asserts already checked
-#    the streaming verdict against a full-graph re-exploration) must be
-#    byte-identical between MC_SHARDS=1 and MC_SHARDS=4, and every line
-#    must show the early-exited run exploring strictly fewer
-#    configurations than the full graph.
+#    the streaming verdict against a full-graph re-exploration) must
+#    every one show the early-exited run exploring strictly fewer
+#    configurations than the full graph, with a decided answer.
 #
-# 4. Disk-store equivalence: the smoke bench runs once more with
+# 3. Disk-store equivalence: the smoke bench runs once more with
 #    MC_STORE=disk and a 64 KiB hot-tier budget, so every Auto-backend
 #    exploration spills cold arenas, frontier rows and index buckets to
 #    disk. The GUARD and VERDICT lines must be byte-identical to the
@@ -37,7 +28,7 @@
 #    deliberately NOT diffed: eviction inflates the arenas' miss
 #    counters without touching the graph.
 #
-# 5. mc-report diff self-consistency: `mc-report diff` on the committed
+# 4. mc-report diff self-consistency: `mc-report diff` on the committed
 #    baseline against itself must report zero regressions and exit 0,
 #    and against a doctored copy (a completing row flipped to
 #    "truncated": true) must flag the regression and exit non-zero —
@@ -55,7 +46,7 @@ if [[ ! -f "$BASELINE" ]]; then
   exit 0
 fi
 
-raw=$(MC_SHARDS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT) ' || true)
+raw=$(BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT) ' || true)
 fresh=$(grep '^GUARD ' <<<"$raw" || true)
 if [[ -z "$fresh" ]]; then
   echo "bench_guard: smoke run produced no GUARD lines" >&2
@@ -64,26 +55,11 @@ fi
 # Arena summaries (emitted only under INTERNER_STATS=1).
 grep '^INTERNER ' <<<"$raw" || true
 
-# Gate 1: the same smoke bench under MC_SHARDS=4 must print the exact
-# same GUARD facts — configs, edges, truncation and bytes per config.
-sharded_raw=$(MC_SHARDS=4 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|VERDICT) ' || true)
-sharded=$(grep '^GUARD ' <<<"$sharded_raw" || true)
-if [[ -z "$sharded" ]]; then
-  echo "bench_guard: MC_SHARDS=4 smoke run produced no GUARD lines" >&2
-  exit 1
-fi
-if ! diff <(echo "$fresh") <(echo "$sharded") >/dev/null; then
-  echo "bench_guard: FAILED — GUARD lines diverge between MC_SHARDS=1 and MC_SHARDS=4:"
-  diff <(echo "$fresh") <(echo "$sharded") | sed 's/^/bench_guard:   /' || true
-  exit 1
-fi
-echo "bench_guard: shard independence OK ($(wc -l <<<"$sharded") GUARD lines identical at MC_SHARDS=4)"
-
-# Gate 2: compare the unsharded facts against the committed baseline.
+# Gate 1: compare the facts against the committed baseline.
 fail=0
 checked=0
 while read -r _ fixture symmetry por peak edges truncated bytes_pc; do
-  row=$(grep -F "\"fixture\": \"$fixture\", \"threads\": 1, \"shards\": 1, \"symmetry\": $symmetry, \"por\": $por," "$BASELINE" | head -1 || true)
+  row=$(grep -F "\"fixture\": \"$fixture\", \"threads\": 1, \"symmetry\": $symmetry, \"por\": $por," "$BASELINE" | head -1 || true)
   if [[ -z "$row" ]]; then
     echo "bench_guard: no baseline row for $fixture symmetry=$symmetry por=$por (new fixture?); skipping"
     continue
@@ -125,20 +101,13 @@ if ((fail)); then
 fi
 echo "bench_guard: OK ($checked rows checked, graph facts + bytes/config)"
 
-# Gate 3: verdict-goal agreement. The bench already asserts (per row)
-# that the streaming verdict matches a full-graph re-exploration and
-# that shards 1 and 4 produce identical facts; here we re-check the
-# printed VERDICT lines across the two MC_SHARDS runs and the
-# strictly-fewer-configs claim.
+# Gate 2: verdict-goal early exit. The bench already asserts (per row)
+# that the streaming verdict matches a full-graph re-exploration; here we
+# re-check the printed VERDICT lines for the strictly-fewer-configs claim
+# and a decided answer.
 fresh_v=$(grep '^VERDICT ' <<<"$raw" || true)
-sharded_v=$(grep '^VERDICT ' <<<"$sharded_raw" || true)
 if [[ -z "$fresh_v" ]]; then
   echo "bench_guard: smoke run produced no VERDICT lines" >&2
-  exit 1
-fi
-if ! diff <(echo "$fresh_v") <(echo "$sharded_v") >/dev/null; then
-  echo "bench_guard: FAILED — VERDICT lines diverge between MC_SHARDS=1 and MC_SHARDS=4:"
-  diff <(echo "$fresh_v") <(echo "$sharded_v") | sed 's/^/bench_guard:   /' || true
   exit 1
 fi
 vfail=0
@@ -158,12 +127,12 @@ if ((vfail)); then
 fi
 echo "bench_guard: verdict goal OK ($(wc -l <<<"$fresh_v") VERDICT lines, early exit strict on all)"
 
-# Gate 4: disk-store equivalence. Route every Auto-backend exploration
+# Gate 3: disk-store equivalence. Route every Auto-backend exploration
 # through the disk store with a hot tier small enough that the large
 # fixtures actually spill; the explored graphs — and the frozen,
 # unspilled footprints behind approx_bytes_per_config — must be
 # byte-identical to the in-memory run.
-disk_raw=$(MC_SHARDS=1 MC_STORE=disk MC_STORE_BUDGET=65536 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|VERDICT|SPILL) ' || true)
+disk_raw=$(MC_STORE=disk MC_STORE_BUDGET=65536 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|VERDICT|SPILL) ' || true)
 disk_g=$(grep -E '^(GUARD|VERDICT) ' <<<"$disk_raw" || true)
 mem_g=$(grep -E '^(GUARD|VERDICT) ' <<<"$raw" || true)
 if [[ -z "$disk_g" ]]; then
@@ -196,7 +165,7 @@ if [[ -n "$leftover" ]]; then
 fi
 echo "bench_guard: disk store OK (GUARD/VERDICT identical under MC_STORE=disk, $spilled SPILL rows, run dirs cleaned)"
 
-# Gate 5: the mc-report diff gate must itself work. Identical files diff
+# Gate 4: the mc-report diff gate must itself work. Identical files diff
 # clean (exit 0, zero regressions); a copy with one completing row
 # doctored to "truncated": true must be flagged (non-zero exit).
 if ! cargo run --release -q --bin mc-report -- diff "$BASELINE" "$BASELINE" >/tmp/mc_diff_self.log; then

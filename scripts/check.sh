@@ -69,15 +69,13 @@ echo "verdict smoke: OK (4 decided VERDICT rows)"
 
 if [[ "$RUN_BENCH_SMOKE" == "1" ]]; then
   # Smoke-run the model-check bench (two untimed iterations per kernel, no
-  # JSON write — see harness::smoke_mode) twice — MC_SHARDS=1 and
-  # MC_SHARDS=4 — diffing the two runs' GUARD lines (shard-count
-  # independence of the explored graphs, gated on every run) and then the
-  # unsharded facts against the committed BENCH_modelcheck.json, so bench
-  # bit-rot, sharding divergence, reduction regressions (graphs growing
-  # back) and per-config memory regressions all fail the gate.
+  # JSON write — see harness::smoke_mode), diffing its GUARD facts
+  # against the committed BENCH_modelcheck.json, so bench bit-rot,
+  # reduction regressions (graphs growing back) and per-config memory
+  # regressions all fail the gate.
   # INTERNER_STATS=1 additionally exercises the hash-consing diagnostics
   # path and surfaces the arena summaries.
-  echo "==> bench guard (BENCH_SMOKE=1): e9_modelcheck at MC_SHARDS=1 vs 4 vs BENCH_modelcheck.json"
+  echo "==> bench guard (BENCH_SMOKE=1): e9_modelcheck vs BENCH_modelcheck.json"
   INTERNER_STATS=1 bash scripts/bench_guard.sh
 fi
 

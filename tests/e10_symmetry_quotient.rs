@@ -3,9 +3,14 @@
 //! every analysis verdict — initial valence, bivalence, wait-freedom,
 //! agreement bounds, terminal decision sets and critical-configuration
 //! existence — while visiting strictly fewer configurations on the
-//! symmetric fixtures.
+//! symmetric fixtures. Both the full graph and the quotient are checked
+//! node for node against the reference explorer.
+
+mod support;
 
 use std::sync::Arc;
+
+use support::reference;
 
 use subconsensus_core::GroupedObject;
 use subconsensus_modelcheck::{
@@ -80,6 +85,12 @@ fn explore_pair(spec: &SystemSpec) -> (StateGraph, StateGraph) {
         .expect("quotient explore");
     assert!(!full.is_truncated());
     assert!(!quot.is_truncated());
+    support::assert_matches_reference(&full, &reference::explore(spec, false, usize::MAX), "full");
+    support::assert_matches_reference(
+        &quot,
+        &reference::explore(spec, true, usize::MAX),
+        "quotient",
+    );
     (full, quot)
 }
 
@@ -185,8 +196,9 @@ fn quotient_shrinks_symmetric_graphs_and_preserves_trivial_ones() {
 fn interned_quotient_identical_to_deep_quotient() {
     // The hash-consed node store must commute with the symmetry quotient:
     // canonicalizing in id space picks the same orbit representatives in the
-    // same order as canonicalizing deep `Config`s, so the two graphs — and
-    // every verdict derived from them — are identical, not merely isomorphic.
+    // same order as the reference explorer canonicalizing deep `Config`s, so
+    // the two graphs are identical, not merely isomorphic — at every thread
+    // count.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e1 distinct p3", grouped_system(2, 1, 3)),
@@ -194,50 +206,12 @@ fn interned_quotient_identical_to_deep_quotient() {
     ] {
         for symmetry in [false, true] {
             let opts = ExploreOptions::default().with_symmetry(symmetry);
-            let deep = StateGraph::explore(&spec, &opts.clone().with_interned(false))
-                .expect("deep explore");
-            let interned = StateGraph::explore(&spec, &opts).expect("interned explore");
-            let label = format!("{label} (symmetry={symmetry})");
-            assert_eq!(deep.len(), interned.len(), "{label}: node count");
-            for i in 0..deep.len() {
-                assert_eq!(deep.config(i), interned.config(i), "{label}: node {i}");
-                assert_eq!(deep.edges(i), interned.edges(i), "{label}: edges of {i}");
-            }
-            assert_eq!(deep.terminals(), interned.terminals(), "{label}: terminals");
-            assert_verdicts_agree(&deep, &interned, &label);
-        }
-    }
-}
-
-#[test]
-fn sharded_quotient_identical_across_shard_counts() {
-    // Shard routing fingerprints the *canonical* form, so a whole symmetry
-    // orbit lands in one shard and the quotient graph — including orbit
-    // representative choice and node order — is shard-count independent.
-    for (label, spec) in [
-        ("e1 sym p3", grouped_system_sym(2, 1, 3)),
-        ("e1 distinct p3", grouped_system(2, 1, 3)),
-        ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
-    ] {
-        for symmetry in [false, true] {
-            for interned in [false, true] {
-                let opts = ExploreOptions::default()
-                    .with_symmetry(symmetry)
-                    .with_interned(interned);
-                let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
-                for shards in [2usize, 4] {
-                    let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
-                        .expect("sharded explore");
-                    let label =
-                        format!("{label} (symmetry={symmetry} interned={interned} x{shards})");
-                    assert_eq!(base.len(), g.len(), "{label}: node count");
-                    for i in 0..base.len() {
-                        assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                        assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                    }
-                    assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                    assert_verdicts_agree(&base, &g, &label);
-                }
+            let reference = support::reference_for(&spec, &opts);
+            for threads in [1usize, 4] {
+                let g = StateGraph::explore(&spec, &opts.clone().with_threads(threads))
+                    .expect("interned explore");
+                let label = format!("{label} (symmetry={symmetry} x{threads} threads)");
+                support::assert_matches_reference(&g, &reference, &label);
             }
         }
     }
@@ -247,33 +221,29 @@ fn sharded_quotient_identical_across_shard_counts() {
 fn disk_store_quotient_identical() {
     // The disk-backed store must commute with the symmetry quotient: orbit
     // canonicalization runs in id space, and eviction never moves ids, so a
-    // 4 KiB hot tier produces the same quotient graph as unbounded memory —
-    // across shard counts.
+    // 4 KiB hot tier produces the same quotient graph as unbounded memory
+    // and the reference explorer — at every thread count.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
     ] {
         for symmetry in [false, true] {
             let opts = ExploreOptions::default().with_symmetry(symmetry);
+            let reference = support::reference_for(&spec, &opts);
             let base = StateGraph::explore(&spec, &opts.clone().with_store(StoreBackend::Memory))
                 .expect("memory explore");
-            for shards in [1usize, 2] {
+            for threads in [1usize, 4] {
                 let g = StateGraph::explore(
                     &spec,
                     &opts
                         .clone()
-                        .with_shards(shards)
+                        .with_threads(threads)
                         .with_store(StoreBackend::Disk)
                         .with_store_budget(4 << 10),
                 )
                 .expect("disk explore");
-                let label = format!("{label} (symmetry={symmetry} disk x{shards})");
-                assert_eq!(base.len(), g.len(), "{label}: node count");
-                for i in 0..base.len() {
-                    assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                    assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                }
-                assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
+                let label = format!("{label} (symmetry={symmetry} disk x{threads} threads)");
+                support::assert_matches_reference(&g, &reference, &label);
                 assert_verdicts_agree(&base, &g, &label);
             }
         }

@@ -5,7 +5,11 @@
 //! half the configurations and strictly fewer edges on the
 //! interleaving-heavy fixtures, both alone and composed with the symmetry
 //! quotient. Interior valences are *not* preserved, so `find_critical`
-//! rejects reduced graphs with a hard error.
+//! rejects reduced graphs with a hard error. Every full graph is checked
+//! node for node against the reference explorer, and every reduced graph
+//! against its terminal configurations and verdicts.
+
+mod support;
 
 use std::sync::Arc;
 
@@ -79,11 +83,14 @@ fn partition_system_sym(procs: usize, m: usize, j: usize) -> SystemSpec {
 fn explore_pair(spec: &SystemSpec, symmetry: bool) -> (StateGraph, StateGraph) {
     let base = ExploreOptions::default().with_symmetry(symmetry);
     let full = StateGraph::explore(spec, &base).expect("full explore");
-    let red = StateGraph::explore(spec, &base.with_por(true)).expect("reduced explore");
+    let red = StateGraph::explore(spec, &base.clone().with_por(true)).expect("reduced explore");
     assert!(!full.is_truncated());
     assert!(!red.is_truncated());
     assert!(!full.is_por_reduced());
     assert!(red.is_por_reduced());
+    let reference = support::reference_for(spec, &base);
+    support::assert_matches_reference(&full, &reference, "full");
+    support::assert_reduction_matches_reference(&red, &reference, "reduced");
     (full, red)
 }
 
@@ -181,9 +188,10 @@ fn por_composes_with_the_symmetry_quotient() {
 #[test]
 fn interned_reduction_identical_to_deep_reduction() {
     // The ample-set choice, sleep-set bookkeeping and wake-up revisits all
-    // run in id space under the hash-consed store; the reduced graph must
-    // nonetheless be node-for-node identical to the deep store's, under POR
-    // alone and composed with the symmetry quotient.
+    // run in id space; the reduced graph must nonetheless reach exactly the
+    // deep-`Config` reference explorer's terminals with the same verdicts,
+    // under POR alone and composed with the symmetry quotient, and be the
+    // same graph at every thread count.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition p3", partition_system(3, 2, 1)),
@@ -193,63 +201,14 @@ fn interned_reduction_identical_to_deep_reduction() {
             let opts = ExploreOptions::default()
                 .with_por(true)
                 .with_symmetry(symmetry);
-            let deep = StateGraph::explore(&spec, &opts.clone().with_interned(false))
-                .expect("deep explore");
-            let interned = StateGraph::explore(&spec, &opts).expect("interned explore");
-            let label = format!("{label} (por, symmetry={symmetry})");
-            assert_eq!(deep.len(), interned.len(), "{label}: node count");
-            for i in 0..deep.len() {
-                assert_eq!(deep.config(i), interned.config(i), "{label}: node {i}");
-                assert_eq!(deep.edges(i), interned.edges(i), "{label}: edges of {i}");
-            }
-            assert_eq!(deep.terminals(), interned.terminals(), "{label}: terminals");
-            assert_eq!(
-                deep.is_por_reduced(),
-                interned.is_por_reduced(),
-                "{label}: reduction flag"
-            );
-            assert_verdicts_agree(&deep, &interned, &label);
-        }
-    }
-}
-
-#[test]
-fn sharded_reduction_identical_across_shard_counts() {
-    // All POR decisions — ample choice, sleep-set propagation, revisit
-    // wake-ups, cycle-proviso escalations — replay in the sharded
-    // explorer's sequential feedback phase in global tag order, so the
-    // reduced graph is node-for-node identical for every shard count,
-    // alone and composed with the symmetry quotient and either store.
-    for (label, spec) in [
-        ("e1 sym p3", grouped_system_sym(2, 1, 3)),
-        ("e4 partition p3", partition_system(3, 2, 1)),
-        ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
-    ] {
-        for symmetry in [false, true] {
-            for interned in [false, true] {
-                let opts = ExploreOptions::default()
-                    .with_por(true)
-                    .with_symmetry(symmetry)
-                    .with_interned(interned);
-                let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
-                for shards in [2usize, 4] {
-                    let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
-                        .expect("sharded explore");
-                    let label =
-                        format!("{label} (por, symmetry={symmetry} interned={interned} x{shards})");
-                    assert_eq!(base.len(), g.len(), "{label}: node count");
-                    for i in 0..base.len() {
-                        assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                        assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                    }
-                    assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                    assert_eq!(
-                        base.is_por_reduced(),
-                        g.is_por_reduced(),
-                        "{label}: reduction flag"
-                    );
-                    assert_verdicts_agree(&base, &g, &label);
-                }
+            let reference = support::reference_for(&spec, &opts);
+            let base = StateGraph::explore(&spec, &opts).expect("reduced explore");
+            for threads in [1usize, 4] {
+                let g = StateGraph::explore(&spec, &opts.clone().with_threads(threads))
+                    .expect("reduced explore");
+                let label = format!("{label} (por, symmetry={symmetry} x{threads} threads)");
+                support::assert_reduction_matches_reference(&g, &reference, &label);
+                assert_same_graph(&base, &g, &label);
             }
         }
     }
@@ -260,7 +219,7 @@ fn disk_store_reduction_identical() {
     // POR's sleep sets, ample choices and wake-up revisits all key on node
     // ids, which spill-and-reload never renumbers — so a 4 KiB hot tier
     // reproduces the reduced graph exactly, alone and composed with the
-    // symmetry quotient, across shard counts.
+    // symmetry quotient, at every thread count.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
@@ -269,34 +228,41 @@ fn disk_store_reduction_identical() {
             let opts = ExploreOptions::default()
                 .with_por(true)
                 .with_symmetry(symmetry);
+            let reference = support::reference_for(&spec, &opts);
             let base = StateGraph::explore(&spec, &opts.clone().with_store(StoreBackend::Memory))
                 .expect("memory explore");
-            for shards in [1usize, 2] {
+            for threads in [1usize, 4] {
                 let g = StateGraph::explore(
                     &spec,
                     &opts
                         .clone()
-                        .with_shards(shards)
+                        .with_threads(threads)
                         .with_store(StoreBackend::Disk)
                         .with_store_budget(4 << 10),
                 )
                 .expect("disk explore");
-                let label = format!("{label} (por, symmetry={symmetry} disk x{shards})");
-                assert_eq!(base.len(), g.len(), "{label}: node count");
-                for i in 0..base.len() {
-                    assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                    assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                }
-                assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                assert_eq!(
-                    base.is_por_reduced(),
-                    g.is_por_reduced(),
-                    "{label}: reduction flag"
-                );
+                let label = format!("{label} (por, symmetry={symmetry} disk x{threads} threads)");
+                support::assert_reduction_matches_reference(&g, &reference, &label);
+                assert_same_graph(&base, &g, &label);
                 assert_verdicts_agree(&base, &g, &label);
             }
         }
     }
+}
+
+/// Node-for-node identity of two explorations of the same spec.
+fn assert_same_graph(a: &StateGraph, b: &StateGraph, label: &str) {
+    assert_eq!(a.len(), b.len(), "{label}: node count");
+    for i in 0..a.len() {
+        assert_eq!(a.config(i), b.config(i), "{label}: node {i}");
+        assert_eq!(a.edges(i), b.edges(i), "{label}: edges of {i}");
+    }
+    assert_eq!(a.terminals(), b.terminals(), "{label}: terminals");
+    assert_eq!(
+        a.is_por_reduced(),
+        b.is_por_reduced(),
+        "{label}: reduction flag"
+    );
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! E6 (parallel exploration): the level-synchronized parallel BFS must
-//! produce a graph node-for-node identical to the sequential one, on the
-//! real E1 fixtures (grouped-family systems), for every thread count.
+//! produce a graph node-for-node identical to the sequential one, and to
+//! the reference explorer's, on the real E1 fixtures (grouped-family
+//! systems), for every thread count and store backend.
+
+mod support;
 
 use std::sync::Arc;
 
@@ -47,90 +50,25 @@ fn parallel_graph_identical_on_grouped_fixtures() {
 
 #[test]
 fn interned_store_matches_deep_store_across_thread_counts() {
-    // The hash-consed (default) node store must reproduce the deep-`Config`
-    // store bit-for-bit — same nodes in the same order, same edges, same
-    // terminals — for every thread count, while holding strictly less memory
-    // once sharing has anything to share. (`approx_bytes` honestly counts
-    // the interner's tables and unique states, so on graphs of a dozen
-    // nodes that fixed overhead dominates; the byte win is asserted on the
-    // larger fixtures, where it is structural, not incidental.)
+    // The hash-consed node store must reproduce the reference explorer's
+    // deep-`Config` store bit-for-bit — same nodes in the same order, same
+    // edges, same terminals — for every thread count.
     for (n, k, procs) in [(2, 0, 2), (2, 1, 3), (3, 0, 3)] {
         let spec = grouped_system(n, k, procs);
-        let deep = StateGraph::explore(&spec, &ExploreOptions::default().with_interned(false))
-            .expect("deep explore");
-        assert!(
-            deep.interner_stats().is_none(),
-            "deep store reports no interner"
-        );
+        let reference = support::reference_for(&spec, &ExploreOptions::default());
         for threads in [1usize, 2, 4] {
             let opts = ExploreOptions::default().with_threads(threads);
             let g = StateGraph::explore(&spec, &opts).expect("interned explore");
-            assert_identical(&deep, &g, &format!("({n},{k},{procs}) interned x{threads}"));
+            support::assert_matches_reference(
+                &g,
+                &reference,
+                &format!("({n},{k},{procs}) interned x{threads}"),
+            );
             let stats = g
                 .interner_stats()
                 .expect("interned store exposes arena stats");
             assert!(stats.object_states <= g.len());
-            if g.len() >= 50 {
-                assert!(
-                    g.approx_bytes() < deep.approx_bytes(),
-                    "({n},{k},{procs}) x{threads}: interned {} bytes vs deep {} bytes",
-                    g.approx_bytes(),
-                    deep.approx_bytes()
-                );
-            }
         }
-    }
-}
-
-#[test]
-fn sharded_graph_identical_on_grouped_fixtures() {
-    // The fingerprint-partitioned explorer must reproduce the single-store
-    // graph exactly — for every shard count, crossed with thread counts
-    // (which shape only the unsharded baseline) and both node stores.
-    for (n, k, procs) in [(2, 0, 2), (2, 1, 3), (3, 0, 3)] {
-        let spec = grouped_system(n, k, procs);
-        for interned in [false, true] {
-            let base =
-                StateGraph::explore(&spec, &ExploreOptions::default().with_interned(interned))
-                    .unwrap();
-            for shards in [2usize, 4] {
-                for threads in [1usize, 4] {
-                    let opts = ExploreOptions::default()
-                        .with_interned(interned)
-                        .with_shards(shards)
-                        .with_threads(threads);
-                    let g = StateGraph::explore(&spec, &opts).unwrap();
-                    assert_identical(
-                        &base,
-                        &g,
-                        &format!(
-                            "({n},{k},{procs}) interned={interned} x{shards} shards x{threads} threads"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_interned_bytes_match_unsharded() {
-    // The freeze-time arena stitch must land on the exact single-interner
-    // representation: `approx_bytes` is diffed across `MC_SHARDS` values
-    // by scripts/bench_guard.sh, so any drift here is a CI failure too.
-    let spec = grouped_system(2, 1, 3);
-    let base = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
-    for shards in [2usize, 4] {
-        let g = StateGraph::explore(&spec, &ExploreOptions::default().with_shards(shards)).unwrap();
-        assert_eq!(
-            g.approx_bytes(),
-            base.approx_bytes(),
-            "{shards} shards: stitched arena must cost what one arena costs"
-        );
-        let stats = g.interner_stats().expect("sharded interned store");
-        let base_stats = base.interner_stats().unwrap();
-        assert_eq!(stats.object_states, base_stats.object_states);
-        assert_eq!(stats.proc_states, base_stats.proc_states);
     }
 }
 
@@ -138,10 +76,11 @@ fn sharded_interned_bytes_match_unsharded() {
 fn disk_store_graph_identical_and_reconstituted() {
     // The disk-backed store, forced to spill by a hot-tier budget far
     // below the fixture's footprint, must reproduce the in-memory graph
-    // node-for-node — across shard counts — and the freeze-time
-    // reconstitution must land on the exact in-memory representation
-    // (same `approx_bytes`, same interner arenas), because arenas are
-    // append-only and ids never move under eviction.
+    // node-for-node — and the reference explorer's — at every thread
+    // count, and the freeze-time reconstitution must land on the exact
+    // in-memory representation (same `approx_bytes`, same interner
+    // arenas), because arenas are append-only and ids never move under
+    // eviction.
     let spec = grouped_system(2, 1, 4);
     let base = StateGraph::explore(
         &spec,
@@ -149,17 +88,19 @@ fn disk_store_graph_identical_and_reconstituted() {
     )
     .unwrap();
     assert!(base.len() > 500, "fixture must dwarf the tiny budget");
-    for shards in [1usize, 2, 4] {
+    let reference = support::reference_for(&spec, &ExploreOptions::default());
+    support::assert_matches_reference(&base, &reference, "memory");
+    for threads in [1usize, 4] {
         let opts = ExploreOptions::default()
-            .with_shards(shards)
+            .with_threads(threads)
             .with_store(StoreBackend::Disk)
             .with_store_budget(16 << 10);
         let g = StateGraph::explore(&spec, &opts).unwrap();
-        assert_identical(&base, &g, &format!("disk x{shards} shards"));
+        support::assert_matches_reference(&g, &reference, &format!("disk x{threads} threads"));
         assert_eq!(
             g.approx_bytes(),
             base.approx_bytes(),
-            "{shards} shards: reconstituted store must cost what memory costs"
+            "{threads} threads: reconstituted store must cost what memory costs"
         );
         let stats = g.interner_stats().expect("disk store is interned");
         let base_stats = base.interner_stats().unwrap();
@@ -168,7 +109,7 @@ fn disk_store_graph_identical_and_reconstituted() {
         let sm = g.metrics().store.expect("disk runs report store metrics");
         assert!(
             sm.spilled_bytes > 0,
-            "{shards} shards: a 16 KiB budget must force spill"
+            "{threads} threads: a 16 KiB budget must force spill"
         );
     }
 }
