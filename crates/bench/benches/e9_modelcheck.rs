@@ -501,8 +501,8 @@ fn main() {
                 "{name}: a {disk_budget} B hot tier must force spill"
             );
             println!(
-                "SPILL {name} {symmetry} {por} {} {}",
-                sm.spilled_bytes, sm.reload_count
+                "SPILL {name} {symmetry} {por} {} {} {}",
+                sm.spilled_bytes, sm.reload_count, sm.index_reads
             );
             let label = format!(
                 "{name}{}{}/disk",

@@ -6,9 +6,13 @@
 //! order is independent of how the level was split, the graph — node
 //! indices, edges, terminals — is identical for every thread count.
 //!
-//! The visited set is a fingerprint index (`u64` hash → candidate node
-//! indices) verified by full equality before deduplicating, so hash
-//! collisions can never merge distinct configurations.
+//! The visited set is a fingerprint index: a flat open-addressing table of
+//! `(u64 fingerprint, u32 node id)` pairs (`fpindex.rs`), where a
+//! fingerprint filed under several nodes simply occupies several slots of
+//! one probe run. Every candidate it proposes is verified by full id-word
+//! equality before deduplicating, so hash collisions can never merge
+//! distinct configurations. The disk store drains the table to sorted,
+//! fenced runs on disk (`spill.rs`) and probes those too at merge time.
 //!
 //! The node arena is **hash-consed**: every distinct object and process
 //! state is interned once into a [`StateInterner`] and a node is one flat
@@ -45,9 +49,6 @@
 //! (`u32` node ids, one flat edge array) — per-node memory is two `u32`
 //! offsets instead of a `Vec` header plus allocation slack.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use subconsensus_sim::{
@@ -56,6 +57,7 @@ use subconsensus_sim::{
     TruncationCause, Value, ARENA_SEGMENT,
 };
 
+use crate::fpindex::{fingerprint_words, FpTable};
 use crate::spill::{Spill, DEFAULT_DISK_BUDGET};
 use crate::verdict::{ExploreGoal, StreamingVerdict, TerminalFacts, VerdictEngine};
 
@@ -256,13 +258,6 @@ pub enum StoreBackend {
     Disk,
 }
 
-/// Content hash of a row of interner id words (the compact dedup key).
-fn fingerprint_words(words: &[u32]) -> u64 {
-    let mut h = DefaultHasher::new();
-    words.hash(&mut h);
-    h.finish()
-}
-
 /// Maps a pid bit mask through a pid permutation (`perm[old] = new`).
 fn permute_mask(mask: u64, perm: &[usize]) -> u64 {
     let mut out = 0u64;
@@ -283,12 +278,6 @@ enum MergeSlot {
     Added(usize),
     /// Rejected: the store is at the configuration bound.
     Capped,
-}
-
-/// Rough resident bytes of a fingerprint index: `HashMap` control word +
-/// key + `Vec` header per entry, plus one `usize` per filed node id.
-fn index_bytes(entries: usize, ids: usize) -> usize {
-    entries * 48 + ids * 8
 }
 
 /// Folds per-process statuses into the streaming engine's terminal facts —
@@ -352,10 +341,11 @@ struct CompactStore<'a> {
     /// through the spill's reloaded tier).
     words: Vec<u32>,
     len: usize,
-    index: HashMap<u64, Vec<usize>>,
-    /// Node ids currently filed in `index` (drains reset it) — keeps
-    /// [`resident_estimate`](Self::resident_estimate) O(1).
-    index_ids: usize,
+    /// RAM tier of the fingerprint index: the nodes filed since the last
+    /// drain (all of them without a spill).
+    index: FpTable,
+    /// Reused buffer of one merge-side probe's spilled candidates.
+    spilled_cands: Vec<u32>,
     /// Disk spill state ([`StoreBackend::Disk`] only); `None` preserves
     /// the fully-resident behavior bit for bit.
     spill: Option<Spill>,
@@ -366,8 +356,8 @@ impl<'a> CompactStore<'a> {
         let mut interner = StateInterner::new();
         let compact = interner.intern_config(init);
         let words: Vec<u32> = compact.words().to_vec();
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        index.entry(fingerprint_words(&words)).or_default().push(0);
+        let mut index = FpTable::new();
+        index.insert(fingerprint_words(&words), 0);
         CompactStore {
             spec,
             rec,
@@ -377,7 +367,7 @@ impl<'a> CompactStore<'a> {
             words,
             len: 1,
             index,
-            index_ids: 1,
+            spilled_cands: Vec::new(),
             spill: None,
         }
     }
@@ -468,7 +458,7 @@ impl<'a> CompactStore<'a> {
 
     /// Evicts cold state until the resident estimate fits the budget:
     /// complete, unpinned arena segments oldest-pin-first, then (still
-    /// over) the in-memory fingerprint index drains to bucket files.
+    /// over) the RAM fingerprint index drains to a sorted run on disk.
     fn evict_to_budget(&mut self) {
         let rec = self.rec;
         let Some(spill) = self.spill.as_ref() else {
@@ -493,10 +483,10 @@ impl<'a> CompactStore<'a> {
             );
         }
         if self.resident_estimate() > budget {
-            let mut index = std::mem::take(&mut self.index);
-            self.spill.as_mut().unwrap().drain_index(&mut index, rec);
-            self.index = index;
-            self.index_ids = 0;
+            self.spill
+                .as_mut()
+                .unwrap()
+                .drain_index(&mut self.index, rec);
         }
     }
 
@@ -606,26 +596,70 @@ impl<'a> CompactStore<'a> {
     fn lookup(&self, c: &CompactCarrier) -> Option<usize> {
         let words = c.pending.resolved_words()?;
         let fp = c.fp?;
-        // Worker-side: probe only the in-memory index and only resident
-        // rows — a spilled candidate is a safe false miss (fresh state
-        // rides by value; the merge's `insert` re-checks with faulting).
+        // Worker-side: probe only the RAM index and only resident rows — a
+        // spilled candidate is a safe false miss (fresh state rides by
+        // value; the merge's `insert` re-checks both tiers with faulting).
         let spilling = self.spill.is_some();
-        self.index
-            .get(&fp)?
-            .iter()
-            .copied()
-            .find(|&j| match self.row_resident(j) {
+        let mut probe = self.index.probe(fp);
+        while let Some(j) = probe.next(&self.index) {
+            match self.row_resident(j as usize) {
                 Some(row) => {
                     if spilling {
                         self.rec.count_store_hot_hits(1);
                     }
-                    row == words
+                    if row == words {
+                        return Some(j as usize);
+                    }
                 }
-                None => {
-                    self.rec.count_store_hot_misses(1);
-                    false
+                None => self.rec.count_store_hot_misses(1),
+            }
+        }
+        None
+    }
+
+    /// Merge-side: whether node `j`'s row equals `words`, faulting it from
+    /// disk if it is cold.
+    fn row_matches(&mut self, j: usize, words: &[u32]) -> bool {
+        let rec = self.rec;
+        let spilling = self.spill.is_some();
+        match self.row_resident(j) {
+            Some(row) => {
+                if spilling {
+                    rec.count_store_hot_hits(1);
                 }
-            })
+                row == words
+            }
+            None => {
+                rec.count_store_hot_misses(1);
+                let spill = self
+                    .spill
+                    .as_mut()
+                    .expect("non-resident row implies a spill");
+                spill.fault_row(j, rec) == words
+            }
+        }
+    }
+
+    /// Merge-side: the node whose row equals `words` (fingerprint `fp`),
+    /// searching the RAM index and then every spilled run. At most one
+    /// candidate can match, because node rows are pairwise distinct.
+    fn find(&mut self, fp: u64, words: &[u32]) -> Option<usize> {
+        let mut probe = self.index.probe(fp);
+        while let Some(j) = probe.next(&self.index) {
+            if self.row_matches(j as usize, words) {
+                return Some(j as usize);
+            }
+        }
+        let spill = self.spill.as_mut()?;
+        let mut cands = std::mem::take(&mut self.spilled_cands);
+        cands.clear();
+        spill.spilled_candidates(fp, &mut cands, self.rec);
+        let found = cands
+            .iter()
+            .map(|&j| j as usize)
+            .find(|&j| self.row_matches(j, words));
+        self.spilled_cands = cands;
+        found
     }
 
     /// Merge-side find-or-insert, bounded by `cap` configurations.
@@ -639,38 +673,7 @@ impl<'a> CompactStore<'a> {
         let compact = self.interner.finalize(c.pending);
         let words = compact.words();
         let fp = fingerprint_words(words);
-        let mut cands: Vec<usize> = self.index.get(&fp).cloned().unwrap_or_default();
-        if let Some(spill) = self.spill.as_mut() {
-            if spill.drained {
-                spill.spilled_candidates(fp, &mut cands, self.rec);
-            }
-        }
-        let rec = self.rec;
-        let spilling = self.spill.is_some();
-        let mut known = None;
-        for j in cands {
-            let hit = match self.row_resident(j) {
-                Some(row) => {
-                    if spilling {
-                        rec.count_store_hot_hits(1);
-                    }
-                    row == words
-                }
-                None => {
-                    rec.count_store_hot_misses(1);
-                    let spill = self
-                        .spill
-                        .as_mut()
-                        .expect("non-resident row implies a spill");
-                    spill.fault_row(j, rec) == words
-                }
-            };
-            if hit {
-                known = Some(j);
-                break;
-            }
-        }
-        if let Some(j) = known {
+        if let Some(j) = self.find(fp, words) {
             return MergeSlot::Known(j);
         }
         if self.len >= cap {
@@ -678,8 +681,8 @@ impl<'a> CompactStore<'a> {
         }
         let j = self.len;
         self.words.extend_from_slice(words);
-        self.index.entry(fp).or_default().push(j);
-        self.index_ids += 1;
+        self.index
+            .insert(fp, u32::try_from(j).expect("node ids are frozen as u32"));
         self.len += 1;
         MergeSlot::Added(j)
     }
@@ -729,11 +732,11 @@ impl<'a> CompactStore<'a> {
         self.interner.table_bytes()
             + self.interner.resident_state_bytes()
             + self.words.len() * std::mem::size_of::<u32>()
-            + index_bytes(self.index.len(), self.index_ids)
+            + self.index.bytes()
             + self
                 .spill
                 .as_ref()
-                .map_or(0, |s| s.reloaded_bytes() + s.bucket_cache_bytes())
+                .map_or(0, |s| s.reloaded_bytes() + s.index_bytes())
     }
 
     /// Whether this store spills cold state to disk (if so, the memory
@@ -2636,11 +2639,11 @@ mod tests {
 
     #[test]
     fn colliding_fingerprints_never_merge_distinct_configs() {
-        // Cram every node of a real graph into a single fingerprint bucket
-        // (the worst possible hash) and check that each successor still
-        // resolves to exactly the node with equal id words, and to nothing
-        // once that node leaves the bucket — dedup relies on full
-        // equality, never the fingerprint alone.
+        // File every node of a real graph under a single fingerprint (the
+        // worst possible hash: one probe run holds them all) and check
+        // that each successor still resolves to exactly the node with
+        // equal id words, and to nothing once that node is left out —
+        // dedup relies on full equality, never the fingerprint alone.
         let spec = race_spec(2);
         let rec = Recorder::new();
         let mut store = CompactStore::new(&spec, &rec, &spec.initial_config());
@@ -2658,16 +2661,43 @@ mod tests {
                         .find(|&j| store.row(j) == words)
                         .expect("complete graph holds every successor");
                     c.fp = Some(0);
-                    store.index = HashMap::from([(0, (0..store.len).collect())]);
+                    let file_all_but = |skip: Option<usize>| {
+                        let mut index = FpTable::new();
+                        for j in (0..store.len).filter(|&j| Some(j) != skip) {
+                            index.insert(0, j as u32);
+                        }
+                        index
+                    };
+                    store.index = file_all_but(None);
                     assert_eq!(store.lookup(&c), Some(expected));
-                    store.index =
-                        HashMap::from([(0, (0..store.len).filter(|&j| j != expected).collect())]);
+                    store.index = file_all_but(Some(expected));
                     assert_eq!(store.lookup(&c), None);
                     checked += 1;
                 }
             }
         }
         assert!(checked > 10);
+    }
+
+    #[test]
+    fn resident_estimate_tracks_index_capacity() {
+        // The index is charged for its allocated slots, so the estimate
+        // moves by exactly 12 bytes a slot when the table doubles, not
+        // per filed id.
+        let spec = race_spec(2);
+        let rec = Recorder::new();
+        let mut store = CompactStore::new(&spec, &rec, &spec.initial_config());
+        let (cap0, est0) = (store.index.capacity(), store.resident_estimate());
+        for fp in 1u64.. {
+            store.index.insert(fp, 0);
+            if store.index.capacity() != cap0 {
+                break;
+            }
+            assert_eq!(store.resident_estimate(), est0, "no per-entry charge");
+        }
+        let cap1 = store.index.capacity();
+        assert_eq!(cap1, 2 * cap0);
+        assert_eq!(store.resident_estimate() - est0, (cap1 - cap0) * 12);
     }
 
     /// Two or more indistinguishable processes racing on one register: the

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod fpindex;
 mod graph;
 mod properties;
 mod spill;

@@ -2,7 +2,7 @@
 //!
 //! The interned store is file-shaped already: node rows are fixed-stride
 //! `u32` id arrays appended in discovery order, arena ids are dense and
-//! append-only, and the fingerprint index is a flat `fp → ids` multimap.
+//! append-only, and the fingerprint index is a flat `(fp, id)` pair table.
 //! This module gives `CompactStore` (see `graph.rs`) a
 //! bounded hot tier by spilling each of those to append-only files under a
 //! per-exploration run directory:
@@ -13,9 +13,25 @@
 //!   [`ARENA_SEGMENT`](subconsensus_sim::ARENA_SEGMENT)-id segments
 //!   (object and proc interleaved as evicted). Arenas are append-only, so
 //!   a segment's encoding never changes and is written at most once;
-//! * **fingerprint index buckets** — `fp → id` pairs bucketed by low
-//!   fingerprint bits, appended when the in-memory index is drained and
-//!   scanned on dedup probes past the in-memory map.
+//! * **fingerprint index runs** — one file, `idx.bin`, of sorted runs.
+//!   Each drain of the RAM table (`FpTable` in `fpindex.rs`) sorts its
+//!   `(fp, id)` pairs by fingerprint and appends them as one run of
+//!   12-byte pairs, cut into blocks of [`BLOCK_PAIRS`] pairs (just under
+//!   4 KiB). Only the first fingerprint of every block — its *fence* —
+//!   stays in memory (8 bytes per block, about 0.02 bytes per spilled
+//!   pair).
+//!
+//! A probe for `fp` must return every id filed under `fp`. Within one run
+//! the pairs are sorted, so the pairs equal to `fp` are one contiguous
+//! stretch. A block whose fence is above `fp` holds only larger keys, so
+//! the stretch starts in the last block with a fence below `fp` (or in
+//! the first block, if no fence is below `fp`) and ends in the last block
+//! with a fence at most `fp`. The probe binary-searches the fences for
+//! exactly those blocks — one, or two when the stretch crosses a fence —
+//! reads them in one contiguous read and filters by fingerprint. It does
+//! so in every run, and each pair lives in exactly one run (a drain
+//! empties the table), so the probe returns every spilled candidate; the
+//! store then verifies each one by full row equality.
 //!
 //! What spills, and when, is decided by the stores (`begin_level` in
 //! `graph.rs`); this module is the dumb I/O layer plus the byte
@@ -30,20 +46,25 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use subconsensus_sim::Recorder;
 
+use crate::fpindex::FpTable;
+
 /// Hot-tier budget applied when the disk store is selected without an
 /// explicit `store_budget_bytes` / `MC_STORE_BUDGET` (256 MiB).
 pub(crate) const DEFAULT_DISK_BUDGET: usize = 256 << 20;
 
-/// Fingerprint-index spill fans out over this many bucket files (by low
-/// fingerprint bits), so a dedup probe scans `1/16` of the spilled index.
-const INDEX_BUCKETS: usize = 16;
+/// Bytes of one spilled `(fp, id)` pair: a little-endian `u64`
+/// fingerprint, then a little-endian `u32` node id.
+const PAIR_BYTES: usize = 12;
+
+/// Pairs per index block: as many as fit in 4 KiB.
+const BLOCK_PAIRS: usize = 4096 / PAIR_BYTES;
 
 /// Distinguishes run directories of concurrent explorations in one
 /// process.
@@ -107,7 +128,9 @@ fn timed<R>(rec: &Recorder, add: impl Fn(&Recorder, u64), op: impl FnOnce() -> R
 /// One store's spill state: the run directory, its three file families and
 /// the resident bookkeeping of what is currently reloaded or pinned.
 pub(crate) struct Spill {
-    dir: RunDir,
+    /// Owned only to remove the run directory when the store drops (every
+    /// file is opened up front).
+    _dir: RunDir,
     /// Hot-tier byte budget the owning store evicts against.
     pub(crate) budget: usize,
     /// Row width in `u32` words (`nobjects + nprocs`).
@@ -130,13 +153,21 @@ pub(crate) struct Spill {
     pub(crate) proc_pin: Vec<u64>,
     /// Monotone level counter advanced by the store's `begin_level`.
     pub(crate) level: u64,
-    idx_files: Vec<Option<File>>,
-    /// Whether the fingerprint index has ever been drained to buckets — if
-    /// so, dedup probes must also scan the bucket files.
-    pub(crate) drained: bool,
-    /// Last bucket scanned, cached: bucket files only grow at level
-    /// boundaries, so within one level's merge the cache is coherent.
-    bucket_cache: Option<(usize, Vec<(u64, u64)>)>,
+    idx_file: File,
+    /// One entry per drain of the RAM index, oldest first.
+    runs: Vec<IndexRun>,
+    /// Read buffer of the index blocks under probe, reused across probes.
+    block_buf: Vec<u8>,
+}
+
+/// One sorted run of spilled `(fp, id)` pairs in `idx.bin`.
+struct IndexRun {
+    /// Byte offset of the run's first pair.
+    start: u64,
+    /// Pairs in the run.
+    len: usize,
+    /// First fingerprint of each [`BLOCK_PAIRS`]-pair block.
+    fences: Vec<u64>,
 }
 
 impl Spill {
@@ -144,8 +175,9 @@ impl Spill {
         let dir = RunDir::create();
         let rows_file = create_file(&dir, "rows.bin");
         let seg_file = create_file(&dir, "segments.bin");
+        let idx_file = create_file(&dir, "idx.bin");
         Spill {
-            dir,
+            _dir: dir,
             budget,
             stride,
             rows_file,
@@ -158,9 +190,9 @@ impl Spill {
             obj_pin: Vec::new(),
             proc_pin: Vec::new(),
             level: 0,
-            idx_files: (0..INDEX_BUCKETS).map(|_| None).collect(),
-            drained: false,
-            bucket_cache: None,
+            idx_file,
+            runs: Vec::new(),
+            block_buf: Vec::new(),
         }
     }
 
@@ -296,89 +328,81 @@ impl Spill {
         pins[seg] = level;
     }
 
-    /// Moves every entry of the in-memory fingerprint index to the bucket
-    /// files. Entries are appended once: the map only holds entries added
-    /// since the previous drain.
-    pub(crate) fn drain_index(&mut self, index: &mut HashMap<u64, Vec<usize>>, rec: &Recorder) {
-        if index.is_empty() {
+    /// Moves every entry of the RAM fingerprint index to a new sorted run
+    /// at the end of `idx.bin`, leaving `table` empty and small. Each pair
+    /// is written once: the table only holds pairs filed since the
+    /// previous drain.
+    pub(crate) fn drain_index(&mut self, table: &mut FpTable, rec: &Recorder) {
+        if table.len() == 0 {
             return;
         }
-        let mut bufs: Vec<Vec<u8>> = (0..INDEX_BUCKETS).map(|_| Vec::new()).collect();
-        for (&fp, ids) in index.iter() {
-            let buf = &mut bufs[(fp as usize) % INDEX_BUCKETS];
-            for &id in ids {
-                buf.extend_from_slice(&fp.to_le_bytes());
-                buf.extend_from_slice(&(id as u64).to_le_bytes());
-            }
-        }
-        index.clear();
-        let mut written = 0u64;
-        for (b, buf) in bufs.iter().enumerate() {
-            if buf.is_empty() {
+        let pairs = table.drain_sorted();
+        let fences = pairs.iter().step_by(BLOCK_PAIRS).map(|p| p.0).collect();
+        let start = self
+            .runs
+            .last()
+            .map_or(0, |r| r.start + (r.len * PAIR_BYTES) as u64);
+        let bytes = (pairs.len() * PAIR_BYTES) as u64;
+        let file = &mut self.idx_file;
+        timed(rec, Recorder::add_spill_write_ns, || {
+            file.seek(SeekFrom::Start(start))
+                .and_then(|_| {
+                    let mut w = BufWriter::new(&mut *file);
+                    for &(fp, id) in &pairs {
+                        w.write_all(&fp.to_le_bytes())?;
+                        w.write_all(&id.to_le_bytes())?;
+                    }
+                    w.flush()
+                })
+                .unwrap_or_else(|e| panic!("spill: index run write failed: {e}"));
+        });
+        self.runs.push(IndexRun {
+            start,
+            len: pairs.len(),
+            fences,
+        });
+        rec.count_spilled_bytes(bytes);
+    }
+
+    /// Appends the node ids filed under `fp` in the spilled runs to `out`
+    /// (the RAM table's candidates come from the caller). Reads, per run,
+    /// only the blocks whose fences admit `fp` (see the module doc).
+    pub(crate) fn spilled_candidates(&mut self, fp: u64, out: &mut Vec<u32>, rec: &Recorder) {
+        for run in &self.runs {
+            let first = run.fences.partition_point(|&f| f < fp).saturating_sub(1);
+            let end = run.fences.partition_point(|&f| f <= fp);
+            if end == 0 {
                 continue;
             }
-            if self.idx_files[b].is_none() {
-                self.idx_files[b] = Some(create_file(&self.dir, &format!("idx_{b:02}.bin")));
-            }
-            let file = self.idx_files[b]
-                .as_mut()
-                .expect("bucket file just created");
-            timed(rec, Recorder::add_spill_write_ns, || {
-                file.seek(SeekFrom::End(0))
-                    .and_then(|_| file.write_all(buf))
-                    .unwrap_or_else(|e| panic!("spill: index bucket write failed: {e}"));
-            });
-            written += buf.len() as u64;
-        }
-        rec.count_spilled_bytes(written);
-        self.drained = true;
-        self.bucket_cache = None;
-    }
-
-    /// Appends the node ids filed under `fp` in the spilled index to
-    /// `out` (the in-memory map's candidates come from the caller). Probe
-    /// order across candidates is irrelevant: at most one can word-match.
-    pub(crate) fn spilled_candidates(&mut self, fp: u64, out: &mut Vec<usize>, rec: &Recorder) {
-        let b = (fp as usize) % INDEX_BUCKETS;
-        let Some(file) = self.idx_files[b].as_mut() else {
-            return;
-        };
-        if self.bucket_cache.as_ref().map(|(cb, _)| *cb) != Some(b) {
-            let mut bytes = Vec::new();
+            let lo = first * BLOCK_PAIRS;
+            let hi = (end * BLOCK_PAIRS).min(run.len);
+            self.block_buf.resize((hi - lo) * PAIR_BYTES, 0);
+            let file = &mut self.idx_file;
+            let buf = &mut self.block_buf;
             timed(rec, Recorder::add_spill_read_ns, || {
-                file.seek(SeekFrom::Start(0))
-                    .and_then(|_| file.read_to_end(&mut bytes))
-                    .unwrap_or_else(|e| panic!("spill: index bucket read failed: {e}"));
+                file.seek(SeekFrom::Start(run.start + (lo * PAIR_BYTES) as u64))
+                    .and_then(|_| file.read_exact(buf))
+                    .unwrap_or_else(|e| panic!("spill: index block read failed: {e}"));
             });
+            rec.count_index_reads(1);
             rec.count_store_reloads(1);
-            let pairs = bytes
-                .chunks_exact(16)
-                .map(|c| {
-                    (
-                        u64::from_le_bytes(c[..8].try_into().expect("bucket pair")),
-                        u64::from_le_bytes(c[8..].try_into().expect("bucket pair")),
-                    )
-                })
-                .collect();
-            self.bucket_cache = Some((b, pairs));
+            for pair in self.block_buf.chunks_exact(PAIR_BYTES) {
+                let (pfp, id) = pair.split_at(8);
+                if u64::from_le_bytes(pfp.try_into().expect("8-byte fingerprint")) == fp {
+                    out.push(u32::from_le_bytes(id.try_into().expect("4-byte id")));
+                }
+            }
         }
-        let (_, pairs) = self
-            .bucket_cache
-            .as_ref()
-            .expect("bucket cache just filled");
-        out.extend(
-            pairs
-                .iter()
-                .filter(|(pfp, _)| *pfp == fp)
-                .map(|(_, id)| *id as usize),
-        );
     }
 
-    /// Resident bytes of the bucket cache.
-    pub(crate) fn bucket_cache_bytes(&self) -> usize {
-        self.bucket_cache
-            .as_ref()
-            .map_or(0, |(_, pairs)| pairs.len() * 16)
+    /// Resident bytes of the spilled index: the run fences plus the block
+    /// read buffer.
+    pub(crate) fn index_bytes(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|r| r.fences.len() * std::mem::size_of::<u64>())
+            .sum::<usize>()
+            + self.block_buf.capacity()
     }
 
     /// Streams the whole rows file back: the full `[0, hot_base)` prefix
@@ -400,7 +424,7 @@ impl Spill {
     /// The run directory path (tests assert it is cleaned up on drop).
     #[cfg(test)]
     pub(crate) fn dir_path(&self) -> PathBuf {
-        self.dir.path.clone()
+        self._dir.path.clone()
     }
 }
 
@@ -455,30 +479,130 @@ mod tests {
         assert_eq!(spill.read_segment(true, 0, &rec), b"xyzw");
     }
 
+    fn spilled(spill: &mut Spill, fp: u64, rec: &Recorder) -> Vec<u32> {
+        let mut out = Vec::new();
+        spill.spilled_candidates(fp, &mut out, rec);
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn index_drain_and_probe() {
         let rec = Recorder::new();
         let mut spill = Spill::new(2, 1024);
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        index.insert(7, vec![1, 4]);
-        index.insert(7 + INDEX_BUCKETS as u64, vec![9]);
-        spill.drain_index(&mut index, &rec);
-        assert!(index.is_empty());
-        assert!(spill.drained);
-        // Same bucket, different fingerprints: the probe filters exactly.
-        let mut out = Vec::new();
-        spill.spilled_candidates(7, &mut out, &rec);
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 4]);
-        let mut out = Vec::new();
-        spill.spilled_candidates(7 + INDEX_BUCKETS as u64, &mut out, &rec);
-        assert_eq!(out, vec![9]);
-        // A second drain appends only the new entries.
-        index.insert(7, vec![12]);
-        spill.drain_index(&mut index, &rec);
-        let mut out = Vec::new();
-        spill.spilled_candidates(7, &mut out, &rec);
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 4, 12]);
+        let mut table = FpTable::new();
+        assert!(spilled(&mut spill, 7, &rec).is_empty(), "no runs yet");
+        table.insert(7, 1);
+        table.insert(7, 4);
+        table.insert(23, 9);
+        spill.drain_index(&mut table, &rec);
+        assert_eq!(table.len(), 0);
+        // Neighbouring fingerprints: the probe filters exactly.
+        assert_eq!(spilled(&mut spill, 7, &rec), vec![1, 4]);
+        assert_eq!(spilled(&mut spill, 23, &rec), vec![9]);
+        assert!(spilled(&mut spill, 8, &rec).is_empty());
+        // A second drain appends a second run with only the new entries.
+        table.insert(7, 12);
+        spill.drain_index(&mut table, &rec);
+        assert_eq!(spilled(&mut spill, 7, &rec), vec![1, 4, 12]);
+    }
+
+    #[test]
+    fn probe_finds_a_stretch_straddling_blocks_and_runs() {
+        // One fingerprint `F` filed under ids that sort across the first
+        // block boundary of run 1 (pairs `BLOCK_PAIRS - 40 ..
+        // BLOCK_PAIRS + 60`), then again in run 2.
+        const F: u64 = 1 << 40;
+        let rec = Recorder::new();
+        let mut spill = Spill::new(2, 1024);
+        let mut table = FpTable::new();
+        let below = BLOCK_PAIRS as u32 - 40;
+        let mut want = Vec::new();
+        for id in 0..below {
+            table.insert(u64::from(id), id);
+        }
+        for id in below..below + 100 {
+            table.insert(F, id);
+            want.push(id);
+        }
+        for id in below + 100..3 * BLOCK_PAIRS as u32 {
+            table.insert(F + u64::from(id), id);
+        }
+        spill.drain_index(&mut table, &rec);
+        assert_eq!(spill.runs[0].fences.len(), 3);
+        assert_eq!(spill.runs[0].fences[1], F, "the stretch crosses a fence");
+        assert_eq!(spilled(&mut spill, F, &rec), want);
+        for id in 5000..5010 {
+            table.insert(F, id);
+            table.insert(F - 1, id + 100);
+            want.push(id);
+        }
+        spill.drain_index(&mut table, &rec);
+        assert_eq!(spilled(&mut spill, F, &rec), want);
+        assert_eq!(spilled(&mut spill, 3, &rec), vec![3]);
+        assert!(spilled(&mut spill, F + 1, &rec).is_empty());
+        assert!(spilled(&mut spill, u64::MAX, &rec).is_empty());
+        assert_eq!(
+            spill.index_bytes(),
+            (3 + 1) * 8 + spill.block_buf.capacity(),
+            "fences of both runs are resident"
+        );
+    }
+
+    #[test]
+    fn index_tiers_match_a_hashmap_model() {
+        // Random insert / probe / drain sequences over a handful of
+        // fingerprints (so most of them collide) against a plain multimap
+        // model of each tier; growth happens along the way.
+        use std::collections::HashMap;
+        use subconsensus_sim::SmallRng;
+        fn sorted(ids: Option<&Vec<usize>>) -> Vec<u32> {
+            let mut v: Vec<u32> =
+                ids.map_or(Vec::new(), |ids| ids.iter().map(|&i| i as u32).collect());
+            v.sort_unstable();
+            v
+        }
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rec = Recorder::new();
+            let mut spill = Spill::new(2, 1024);
+            let mut table = FpTable::new();
+            let mut ram: HashMap<u64, Vec<usize>> = HashMap::new();
+            let mut disk: HashMap<u64, Vec<usize>> = HashMap::new();
+            let nkeys = 1 + rng.gen_index(40) as u64;
+            let mut next_id = 0usize;
+            for _ in 0..3000 {
+                let fp = rng.gen_index(nkeys as usize) as u64 * 0x1_0000_0001;
+                match rng.gen_index(1000) {
+                    0..=599 => {
+                        table.insert(fp, next_id as u32);
+                        ram.entry(fp).or_default().push(next_id);
+                        next_id += 1;
+                    }
+                    600..=997 => {
+                        let mut got = Vec::new();
+                        let mut probe = table.probe(fp);
+                        while let Some(id) = probe.next(&table) {
+                            got.push(id);
+                        }
+                        got.sort_unstable();
+                        assert_eq!(got, sorted(ram.get(&fp)), "seed {seed}: RAM tier");
+                        assert_eq!(
+                            spilled(&mut spill, fp, &rec),
+                            sorted(disk.get(&fp)),
+                            "seed {seed}: disk tier"
+                        );
+                    }
+                    _ => {
+                        spill.drain_index(&mut table, &rec);
+                        for (fp, ids) in ram.drain() {
+                            disk.entry(fp).or_default().extend(ids);
+                        }
+                    }
+                }
+                assert_eq!(table.len(), ram.values().map(Vec::len).sum::<usize>());
+                assert_eq!(table.bytes(), table.capacity() * 12);
+            }
+        }
     }
 }
