@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use subconsensus_sim::{
     git_revision, unix_time_ms, warn_once, Config, ExploreMetrics, InternerStats, PendingConfig,
     Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner, StepFootprint, SystemSpec,
-    TruncationCause, Value, ARENA_SEGMENT,
+    TruncationCause, Value,
 };
 
 use crate::fpindex::{fingerprint_words, FpTable};
@@ -105,14 +105,16 @@ pub struct ExploreOptions {
     pub goal: ExploreGoal,
     /// Where the visited set lives: in RAM (the default) or disk-backed
     /// with a bounded hot tier ([`StoreBackend::Disk`]), which spills
-    /// cold node rows, interner arena segments and fingerprint-index
-    /// entries to a per-run directory once the resident estimate crosses
+    /// cold node rows and fingerprint-index entries to a per-run
+    /// directory once the resident estimate crosses
     /// [`store_budget_bytes`](Self::store_budget_bytes). The produced
     /// graph is node-for-node identical for every backend.
     /// [`StoreBackend::Auto`] defers to the `MC_STORE` env var.
     pub store: StoreBackend,
-    /// Hot-tier byte budget. Under [`StoreBackend::Disk`] the store
-    /// evicts cold state to disk against this bound; under the in-memory
+    /// Hot-tier byte budget, covering node rows, the fingerprint index
+    /// and the interner arenas. Under [`StoreBackend::Disk`] the store
+    /// evicts node rows and index entries to disk against this bound; the
+    /// arenas stay resident but count toward it. Under the in-memory
     /// backend an exploration whose resident estimate crosses it stops
     /// adding configurations and truncates cleanly
     /// ([`TruncationCause::MemoryBudget`]) instead of growing without
@@ -249,11 +251,11 @@ pub enum StoreBackend {
     /// Everything resident: node rows, interner arenas and the
     /// fingerprint index all live in RAM.
     Memory,
-    /// Bounded hot tier: cold node rows, complete interner arena
-    /// segments and drained fingerprint-index entries spill to
-    /// append-only files under a per-exploration run directory (removed
-    /// when the exploration drops), keeping resident bytes near
-    /// [`ExploreOptions::store_budget_bytes`]. The produced graph is
+    /// Bounded hot tier: cold node rows and drained fingerprint-index
+    /// entries spill to append-only files under a per-exploration run
+    /// directory (removed when the exploration drops), keeping resident
+    /// bytes near [`ExploreOptions::store_budget_bytes`]. The interner
+    /// arenas stay resident. The produced graph is
     /// node-for-node identical to the in-memory one.
     Disk,
 }
@@ -396,141 +398,31 @@ impl<'a> CompactStore<'a> {
         }
     }
 
-    /// Restores (if evicted) and level-pins one complete arena segment. A
-    /// tail (incomplete) segment is always resident and never written, so
-    /// it is skipped.
-    fn restore_and_pin(&mut self, procs: bool, seg: usize) {
-        let interner = &mut self.interner;
-        let complete = if procs {
-            interner.proc_segments()
-        } else {
-            interner.object_segments()
-        };
-        if seg >= complete {
-            return;
-        }
-        let resident = if procs {
-            interner.proc_segment_resident(seg)
-        } else {
-            interner.object_segment_resident(seg)
-        };
-        let spill = self
-            .spill
-            .as_mut()
-            .expect("segment pinning implies an active spill");
-        if !resident {
-            let bytes = spill.read_segment(procs, seg, self.rec);
-            if procs {
-                interner.restore_proc_segment(seg, &bytes);
-            } else {
-                interner.restore_object_segment(seg, &bytes);
-            }
-        }
-        spill.pin_segment(procs, seg);
-    }
-
-    /// Makes every frontier row and every arena segment those rows
-    /// reference resident, pinned for the whole level.
+    /// Faults every spilled frontier row into the reloaded tier, so the
+    /// level's workers find all of them resident.
     fn pin_frontier(&mut self, frontier: &[usize]) {
         let rec = self.rec;
-        let hot_base = self.spill.as_ref().map_or(0, Spill::hot_base);
-        for &i in frontier {
-            if i < hot_base {
-                self.spill
-                    .as_mut()
-                    .expect("hot_base > 0 implies a spill")
-                    .fault_row(i, rec);
-            }
-        }
-        let mut segs: Vec<(bool, usize)> = Vec::new();
-        for &i in frontier {
-            let row = self.row(i);
-            for (slot, &id) in row.iter().enumerate() {
-                segs.push((slot >= self.nobjects, id as usize / ARENA_SEGMENT));
-            }
-        }
-        segs.sort_unstable();
-        segs.dedup();
-        for (procs, seg) in segs {
-            self.restore_and_pin(procs, seg);
-        }
-    }
-
-    /// Evicts cold state until the resident estimate fits the budget:
-    /// complete, unpinned arena segments oldest-pin-first, then (still
-    /// over) the RAM fingerprint index drains to a sorted run on disk.
-    fn evict_to_budget(&mut self) {
-        let rec = self.rec;
-        let Some(spill) = self.spill.as_ref() else {
+        let Some(spill) = self.spill.as_mut() else {
             return;
         };
-        let budget = spill.budget;
-        let level = spill.level;
-        if self.resident_estimate() <= budget {
-            return;
-        }
-        let cands = evictable_segments(&self.interner, self.spill.as_ref().unwrap(), level);
-        for (_, procs, seg) in cands {
-            if self.resident_estimate() <= budget {
-                break;
+        for &i in frontier {
+            if i < spill.hot_base() {
+                spill.fault_row(i, rec);
             }
-            evict_segment(
-                &mut self.interner,
-                self.spill.as_mut().unwrap(),
-                rec,
-                procs,
-                seg,
-            );
-        }
-        if self.resident_estimate() > budget {
-            self.spill
-                .as_mut()
-                .unwrap()
-                .drain_index(&mut self.index, rec);
         }
     }
 
-    /// Restores the arena segments holding cold hash-colliding candidates
-    /// of `pending`'s fresh states — `finalize` below requires every such
-    /// candidate resident (the interner panics otherwise, because
-    /// skipping one would break the id ⇔ value bijection).
-    fn restore_cold(&mut self, pending: &PendingConfig) {
-        if self.spill.is_none() {
-            return;
-        }
-        let mut cold: Vec<(bool, usize)> = Vec::new();
-        self.interner.cold_segments_for_pending(pending, &mut cold);
-        for (procs, seg) in cold {
-            self.restore_and_pin(procs, seg);
-        }
-    }
-
-    /// Reconstitutes the fully-resident representation (freeze time):
-    /// every evicted segment restored (bit-exact — the codec round-trips
-    /// and ids never move), the on-disk row prefix streamed back in front
-    /// of the hot suffix, and the spill dropped (removing its run
-    /// directory). The result is indistinguishable from a fully in-memory
+    /// Reconstitutes the fully-resident representation (freeze time): the
+    /// on-disk row prefix streamed back in front of the hot suffix, and
+    /// the spill dropped (removing its run directory). The arenas never
+    /// left RAM, so the result is indistinguishable from a fully in-memory
     /// exploration's.
     fn unspill(&mut self) {
-        let rec = self.rec;
         let Some(mut spill) = self.spill.take() else {
             return;
         };
-        let interner = &mut self.interner;
-        for seg in 0..interner.object_segments() {
-            if !interner.object_segment_resident(seg) {
-                let bytes = spill.read_segment(false, seg, rec);
-                interner.restore_object_segment(seg, &bytes);
-            }
-        }
-        for seg in 0..interner.proc_segments() {
-            if !interner.proc_segment_resident(seg) {
-                let bytes = spill.read_segment(true, seg, rec);
-                interner.restore_proc_segment(seg, &bytes);
-            }
-        }
         if spill.hot_base() > 0 {
-            let mut all = spill.read_all_rows(rec);
+            let mut all = spill.read_all_rows(self.rec);
             all.append(&mut self.words);
             self.words = all;
         }
@@ -665,11 +557,7 @@ impl<'a> CompactStore<'a> {
     /// Merge-side find-or-insert, bounded by `cap` configurations.
     fn insert(&mut self, c: CompactCarrier, cap: usize) -> MergeSlot {
         // Intern the carrier's fresh states (if any), then dedup by id
-        // words (a worker's miss can be this level's earlier insert). With a
-        // spill, every cold hash-colliding candidate of the fresh states
-        // is restored first: the merge is the authoritative dedup, so
-        // unlike the worker's `lookup` it may not skip evicted state.
-        self.restore_cold(&c.pending);
+        // words (a worker's miss can be this level's earlier insert).
         let compact = self.interner.finalize(c.pending);
         let words = compact.words();
         let fp = fingerprint_words(words);
@@ -701,33 +589,35 @@ impl<'a> CompactStore<'a> {
 
     /// Sequential level-boundary hook, called before each level's
     /// expansion with the node ids about to be expanded (workers are
-    /// joined, so a disk-backed store may evict here: everything a worker
-    /// can touch this level — the frontier's rows and the arena segments
-    /// they reference — is pinned resident until the next call).
+    /// joined, so a disk-backed store may spill here: the frontier's rows
+    /// are faulted resident until the next call). Over budget, the node
+    /// rows spill first — they are the dominant linear cost, and spilling
+    /// them is one sequential write — then, if still over, the RAM
+    /// fingerprint index drains to a sorted run on disk.
     fn begin_level(&mut self, frontier: &[usize]) {
-        if self.spill.is_none() {
-            return;
-        }
         let rec = self.rec;
-        {
-            let spill = self.spill.as_mut().unwrap();
-            spill.level += 1;
-            spill.clear_reloaded();
-        }
-        let budget = self.spill.as_ref().unwrap().budget;
+        let Some(spill) = self.spill.as_mut() else {
+            return;
+        };
+        spill.clear_reloaded();
+        let budget = spill.budget;
         if self.resident_estimate() > budget {
-            // Rows first: the append-only node rows are the dominant
-            // linear cost, and spilling them is one sequential write.
             let rows = std::mem::take(&mut self.words);
             self.spill.as_mut().unwrap().spill_rows(&rows, rec);
         }
         self.pin_frontier(frontier);
-        self.evict_to_budget();
+        if self.resident_estimate() > budget {
+            self.spill
+                .as_mut()
+                .unwrap()
+                .drain_index(&mut self.index, rec);
+        }
     }
 
     /// Estimated resident bytes of the hot tier (rows + arenas +
     /// fingerprint index + reload buffers), driving both the disk store's
-    /// eviction and the in-memory budget truncation.
+    /// spilling and the in-memory budget truncation. The arenas never
+    /// spill, but they count.
     fn resident_estimate(&self) -> usize {
         self.interner.table_bytes()
             + self.interner.resident_state_bytes()
@@ -740,61 +630,9 @@ impl<'a> CompactStore<'a> {
     }
 
     /// Whether this store spills cold state to disk (if so, the memory
-    /// budget bounds residency by eviction instead of truncation).
+    /// budget bounds residency by spilling instead of truncation).
     fn spilling(&self) -> bool {
         self.spill.is_some()
-    }
-}
-
-/// Complete, resident arena segments not pinned this level, oldest pin
-/// first — the order eviction walks until the budget is met.
-fn evictable_segments(
-    interner: &StateInterner,
-    spill: &Spill,
-    level: u64,
-) -> Vec<(u64, bool, usize)> {
-    let mut cands = Vec::new();
-    for seg in 0..interner.object_segments() {
-        if interner.object_segment_resident(seg) {
-            let pin = spill.obj_pin.get(seg).copied().unwrap_or(0);
-            if pin < level {
-                cands.push((pin, false, seg));
-            }
-        }
-    }
-    for seg in 0..interner.proc_segments() {
-        if interner.proc_segment_resident(seg) {
-            let pin = spill.proc_pin.get(seg).copied().unwrap_or(0);
-            if pin < level {
-                cands.push((pin, true, seg));
-            }
-        }
-    }
-    cands.sort_unstable();
-    cands
-}
-
-/// Writes (first eviction only — arena segments are immutable once
-/// complete) and evicts one segment, dropping its `Arc`ed states.
-fn evict_segment(
-    interner: &mut StateInterner,
-    spill: &mut Spill,
-    rec: &Recorder,
-    procs: bool,
-    seg: usize,
-) {
-    if !spill.has_segment(procs, seg) {
-        let bytes = if procs {
-            interner.encode_proc_segment(seg)
-        } else {
-            interner.encode_object_segment(seg)
-        };
-        spill.write_segment(procs, seg, &bytes, rec);
-    }
-    if procs {
-        interner.evict_proc_segment(seg);
-    } else {
-        interner.evict_object_segment(seg);
     }
 }
 
@@ -1330,7 +1168,7 @@ fn explore_core(
     let mut cur_depth: u32 = 0;
     let mut scratch: Vec<Edge> = Vec::new();
     // Memory-budget truncation: with an explicit hot-tier budget but no
-    // spill to honor it by eviction, the level loop stops *adding* nodes
+    // spill to honor it, the level loop stops *adding* nodes
     // once the resident estimate crosses the budget — a clean, recorded
     // truncation instead of unbounded growth.
     let mem_budget = if store.spilling() {
@@ -1733,8 +1571,8 @@ impl StateGraph {
         }
         let core = explore_core(&mut store, &opts, rec)?;
         // Reconstitute before freezing (bit-identical to an in-memory
-        // run — arenas are append-only and ids never move); the spill
-        // drops here, removing its run directory.
+        // run: the arenas never left RAM and the rows come back in id
+        // order); the spill drops here, removing its run directory.
         store.unspill();
         let CompactStore {
             interner,
@@ -1929,8 +1767,8 @@ impl StateGraph {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         // The interner IS the state storage, so its tables and unique
-        // states are part of the honest footprint (they drive the disk
-        // store's eviction too).
+        // states are part of the honest footprint (they count toward the
+        // disk store's budget too).
         let s = self.nodes.interner.stats();
         self.nodes.words.len() * size_of::<u32>()
             + s.table_bytes

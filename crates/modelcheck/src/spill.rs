@@ -1,18 +1,14 @@
 //! Disk spill backend for the interned exploration store.
 //!
 //! The interned store is file-shaped already: node rows are fixed-stride
-//! `u32` id arrays appended in discovery order, arena ids are dense and
-//! append-only, and the fingerprint index is a flat `(fp, id)` pair table.
-//! This module gives `CompactStore` (see `graph.rs`) a
-//! bounded hot tier by spilling each of those to append-only files under a
-//! per-exploration run directory:
+//! `u32` id arrays appended in discovery order, and the fingerprint index
+//! is a flat `(fp, id)` pair table. Those are the two structures that grow
+//! with the configuration count, and this module gives `CompactStore` (see
+//! `graph.rs`) a bounded hot tier by spilling both to append-only files
+//! under a per-exploration run directory:
 //!
 //! * **rows** — one file holding the id rows of nodes `[0, hot_base)`, in
 //!   id order, so a spilled row is one `seek + read` at `id * stride * 4`;
-//! * **arena segments** — one framed file of encoded
-//!   [`ARENA_SEGMENT`](subconsensus_sim::ARENA_SEGMENT)-id segments
-//!   (object and proc interleaved as evicted). Arenas are append-only, so
-//!   a segment's encoding never changes and is written at most once;
 //! * **fingerprint index runs** — one file, `idx.bin`, of sorted runs.
 //!   Each drain of the RAM table (`FpTable` in `fpindex.rs`) sorts its
 //!   `(fp, id)` pairs by fingerprint and appends them as one run of
@@ -33,7 +29,11 @@
 //! empties the table), so the probe returns every spilled candidate; the
 //! store then verifies each one by full row equality.
 //!
-//! What spills, and when, is decided by the stores (`begin_level` in
+//! The interner arenas never spill: they hold one entry per *distinct*
+//! object or process state, which stays small next to the rows (see
+//! DESIGN.md, "Spill soundness").
+//!
+//! What spills, and when, is decided by the store (`begin_level` in
 //! `graph.rs`); this module is the dumb I/O layer plus the byte
 //! accounting. Spill I/O failing is an environment failure (disk full,
 //! run dir deleted), not a model-checking result, so all I/O panics with
@@ -125,8 +125,8 @@ fn timed<R>(rec: &Recorder, add: impl Fn(&Recorder, u64), op: impl FnOnce() -> R
     }
 }
 
-/// One store's spill state: the run directory, its three file families and
-/// the resident bookkeeping of what is currently reloaded or pinned.
+/// One store's spill state: the run directory, its two files and the rows
+/// currently reloaded.
 pub(crate) struct Spill {
     /// Owned only to remove the run directory when the store drops (every
     /// file is opened up front).
@@ -142,17 +142,6 @@ pub(crate) struct Spill {
     /// Spilled rows faulted back for the current level (frontier pins plus
     /// merge-time dedup faults); cleared at every level boundary.
     reloaded: HashMap<usize, Box<[u32]>>,
-    seg_file: File,
-    seg_pos: u64,
-    /// `(offset, len)` of each written object segment frame, by segment.
-    obj_frames: Vec<Option<(u64, u32)>>,
-    proc_frames: Vec<Option<(u64, u32)>>,
-    /// Level stamp of each segment's last pin — the eviction policy's LRU
-    /// key (`0` = never pinned).
-    pub(crate) obj_pin: Vec<u64>,
-    pub(crate) proc_pin: Vec<u64>,
-    /// Monotone level counter advanced by the store's `begin_level`.
-    pub(crate) level: u64,
     idx_file: File,
     /// One entry per drain of the RAM index, oldest first.
     runs: Vec<IndexRun>,
@@ -174,7 +163,6 @@ impl Spill {
     pub(crate) fn new(stride: usize, budget: usize) -> Spill {
         let dir = RunDir::create();
         let rows_file = create_file(&dir, "rows.bin");
-        let seg_file = create_file(&dir, "segments.bin");
         let idx_file = create_file(&dir, "idx.bin");
         Spill {
             _dir: dir,
@@ -183,13 +171,6 @@ impl Spill {
             rows_file,
             hot_base: 0,
             reloaded: HashMap::new(),
-            seg_file,
-            seg_pos: 0,
-            obj_frames: Vec::new(),
-            proc_frames: Vec::new(),
-            obj_pin: Vec::new(),
-            proc_pin: Vec::new(),
-            level: 0,
             idx_file,
             runs: Vec::new(),
             block_buf: Vec::new(),
@@ -254,78 +235,6 @@ impl Spill {
     /// Resident bytes of the reloaded-row tier.
     pub(crate) fn reloaded_bytes(&self) -> usize {
         self.reloaded.len() * (self.stride * 4 + std::mem::size_of::<usize>() * 2)
-    }
-
-    fn frames(&mut self, procs: bool) -> &mut Vec<Option<(u64, u32)>> {
-        if procs {
-            &mut self.proc_frames
-        } else {
-            &mut self.obj_frames
-        }
-    }
-
-    /// Whether the `(procs, seg)` arena segment has been written.
-    pub(crate) fn has_segment(&self, procs: bool, seg: usize) -> bool {
-        let frames = if procs {
-            &self.proc_frames
-        } else {
-            &self.obj_frames
-        };
-        frames.get(seg).is_some_and(|f| f.is_some())
-    }
-
-    /// Writes one encoded arena segment (first eviction only — arenas are
-    /// append-only, so the encoding of a complete segment never changes).
-    pub(crate) fn write_segment(&mut self, procs: bool, seg: usize, bytes: &[u8], rec: &Recorder) {
-        if self.has_segment(procs, seg) {
-            return;
-        }
-        let off = self.seg_pos;
-        timed(rec, Recorder::add_spill_write_ns, || {
-            self.seg_file
-                .seek(SeekFrom::Start(off))
-                .and_then(|_| self.seg_file.write_all(bytes))
-                .unwrap_or_else(|e| panic!("spill: segment write failed: {e}"));
-        });
-        self.seg_pos += bytes.len() as u64;
-        let frames = self.frames(procs);
-        if frames.len() <= seg {
-            frames.resize(seg + 1, None);
-        }
-        frames[seg] = Some((
-            off,
-            u32::try_from(bytes.len()).expect("segment frame too large"),
-        ));
-        rec.count_spilled_bytes(bytes.len() as u64);
-    }
-
-    /// Reads back one written arena segment.
-    pub(crate) fn read_segment(&mut self, procs: bool, seg: usize, rec: &Recorder) -> Vec<u8> {
-        let (off, len) = self.frames(procs)[seg].expect("reading a segment never written");
-        let mut bytes = vec![0u8; len as usize];
-        timed(rec, Recorder::add_spill_read_ns, || {
-            self.seg_file
-                .seek(SeekFrom::Start(off))
-                .and_then(|_| self.seg_file.read_exact(&mut bytes))
-                .unwrap_or_else(|e| panic!("spill: segment read failed: {e}"));
-        });
-        rec.count_store_reloads(1);
-        bytes
-    }
-
-    /// Stamps `(procs, seg)` as pinned at the current level (the LRU key
-    /// eviction sorts by).
-    pub(crate) fn pin_segment(&mut self, procs: bool, seg: usize) {
-        let level = self.level;
-        let pins = if procs {
-            &mut self.proc_pin
-        } else {
-            &mut self.obj_pin
-        };
-        if pins.len() <= seg {
-            pins.resize(seg + 1, 0);
-        }
-        pins[seg] = level;
     }
 
     /// Moves every entry of the RAM fingerprint index to a new sorted run
@@ -462,21 +371,6 @@ mod tests {
         assert_eq!(spill.read_all_rows(&rec), vec![1, 2, 3, 4, 5, 6]);
         drop(spill);
         assert!(!dir.exists(), "run dir must be removed on drop");
-    }
-
-    #[test]
-    fn segments_write_once_and_read_back() {
-        let rec = Recorder::new();
-        let mut spill = Spill::new(2, 1024);
-        assert!(!spill.has_segment(false, 0));
-        spill.write_segment(false, 0, b"abc", &rec);
-        spill.write_segment(true, 0, b"xyzw", &rec);
-        // Re-writing is a no-op: the first frame stays authoritative.
-        spill.write_segment(false, 0, b"IGNORED", &rec);
-        assert!(spill.has_segment(false, 0));
-        assert!(!spill.has_segment(false, 1));
-        assert_eq!(spill.read_segment(false, 0, &rec), b"abc");
-        assert_eq!(spill.read_segment(true, 0, &rec), b"xyzw");
     }
 
     fn spilled(spill: &mut Spill, fp: u64, rec: &Recorder) -> Vec<u32> {

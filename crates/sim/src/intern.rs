@@ -37,13 +37,6 @@ use crate::value::Value;
 /// The id word reserved for "not yet interned" slots of a [`PendingConfig`].
 const PLACEHOLDER: u32 = u32::MAX;
 
-/// Ids per evictable arena segment. Segments are the unit of disk spill:
-/// the id space `[seg * ARENA_SEGMENT, (seg + 1) * ARENA_SEGMENT)` is
-/// encoded, evicted and restored as a whole. Only *complete* segments are
-/// evictable — the tail the interner is still appending into stays
-/// resident, so interning new states never needs a fault.
-pub const ARENA_SEGMENT: usize = 64;
-
 fn hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = DefaultHasher::new();
     value.hash(&mut h);
@@ -57,25 +50,21 @@ fn hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
 /// `&mut` and happen on the merge thread only.
 #[derive(Debug)]
 struct Pool<T> {
-    /// `None` marks a state whose segment was evicted to disk: its id,
-    /// content hash and index entry all stay valid (the arena is
-    /// append-only in id space), only the value itself is cold.
-    /// `Option<Arc<T>>` is pointer-sized, so eviction costs no table space.
-    arena: Vec<Option<Arc<T>>>,
+    /// The interned states, by id. Append-only: an id never moves.
+    arena: Vec<Arc<T>>,
     /// `hashes[id]` is the content hash of `arena[id]` — the same value the
     /// state was interned under, so a slot's contribution to a
     /// configuration's *content* fingerprint never depends on which
-    /// interner issued the id. Never evicted.
+    /// interner issued the id.
     hashes: Vec<u64>,
     /// Hash → candidate ids, verified by full equality (hash collisions are
     /// survivable, just slow).
     index: HashMap<u64, Vec<u32>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Deep bytes of the states currently resident, maintained
-    /// incrementally (insert adds, evict subtracts, restore re-adds) so
+    /// Deep bytes of the stored states, maintained at insert time so
     /// budget estimates and [`StateInterner::stats`] are O(1).
-    resident_bytes: usize,
+    state_bytes: usize,
 }
 
 impl<T> Default for Pool<T> {
@@ -86,7 +75,7 @@ impl<T> Default for Pool<T> {
             index: HashMap::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            resident_bytes: 0,
+            state_bytes: 0,
         }
     }
 }
@@ -99,24 +88,18 @@ impl<T> Clone for Pool<T> {
             index: self.index.clone(),
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
             misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
-            resident_bytes: self.resident_bytes,
+            state_bytes: self.state_bytes,
         }
     }
 }
 
 impl<T: Eq + Hash> Pool<T> {
-    /// Finds the id of `value` if it is already interned **and resident**.
-    ///
-    /// A candidate whose segment was evicted is skipped — a *false miss*.
-    /// That is safe on the worker path: a missed state rides along by value
-    /// in the [`PendingConfig`] and the authoritative merge-side intern
-    /// dedups it (after restoring the cold segment; see
-    /// [`StateInterner::cold_segments_for_pending`]).
+    /// Finds the id of `value` if it is already interned.
     fn lookup_hashed(&self, hash: u64, value: &T) -> Option<u32> {
         let found = self.index.get(&hash).and_then(|ids| {
             ids.iter()
                 .copied()
-                .find(|&id| self.arena[id as usize].as_deref() == Some(value))
+                .find(|&id| *self.arena[id as usize] == *value)
         });
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -127,28 +110,12 @@ impl<T: Eq + Hash> Pool<T> {
 
     /// Interns `value` (supplied as a closure so callers holding an `Arc`
     /// can share it instead of re-allocating), returning its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a hash-colliding candidate is evicted: appending without
-    /// comparing against it could create a duplicate id for an equal state
-    /// and silently break the `id(a) == id(b) ⇔ a == b` invariant. Callers
-    /// on the merge path must restore the segments named by
-    /// [`StateInterner::cold_segments_for_pending`] /
-    /// [`cold_segments_for_wire`](StateInterner::cold_segments_for_wire)
-    /// first.
     fn intern_hashed(&mut self, hash: u64, value: &T, make: impl FnOnce() -> Arc<T>) -> u32 {
         if let Some(id) = self.lookup_hashed(hash, value) {
             return id;
         }
-        if let Some(ids) = self.index.get(&hash) {
-            assert!(
-                ids.iter().all(|&id| self.arena[id as usize].is_some()),
-                "interning against an evicted candidate — restore its segment first"
-            );
-        }
         let id = u32::try_from(self.arena.len()).expect("interner arena exceeds u32 ids");
-        self.arena.push(Some(make()));
+        self.arena.push(make());
         self.hashes.push(hash);
         self.index.entry(hash).or_default().push(id);
         id
@@ -165,59 +132,10 @@ impl<T: Eq + Hash> Pool<T> {
     /// Approximate heap footprint of the arena + hash index themselves
     /// (excluding the deep size of the stored states).
     fn table_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<Option<Arc<T>>>()
+        self.arena.len() * std::mem::size_of::<Arc<T>>()
             + self.hashes.len() * std::mem::size_of::<u64>()
             + self.index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>())
             + self.arena.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Number of *complete* (hence evictable) segments.
-    fn complete_segments(&self) -> usize {
-        self.arena.len() / ARENA_SEGMENT
-    }
-
-    fn segment_range(&self, seg: usize) -> std::ops::Range<usize> {
-        let lo = seg * ARENA_SEGMENT;
-        let hi = lo + ARENA_SEGMENT;
-        assert!(hi <= self.arena.len(), "segment {seg} is not complete");
-        lo..hi
-    }
-
-    /// Whether segment `seg` is resident (segments evict and restore as a
-    /// whole, so the first slot speaks for all of them).
-    fn segment_resident(&self, seg: usize) -> bool {
-        self.arena[self.segment_range(seg).start].is_some()
-    }
-
-    /// Drops the values of segment `seg`, returning the deep bytes freed
-    /// (`size` measures one value; must match the insert-time accounting).
-    fn evict_segment(&mut self, seg: usize, size: impl Fn(&T) -> usize) -> usize {
-        let mut freed = 0;
-        for slot in self.segment_range(seg) {
-            let v = self.arena[slot]
-                .take()
-                .expect("evicting a segment that is not resident");
-            freed += size(&v);
-        }
-        self.resident_bytes -= freed;
-        freed
-    }
-
-    /// Segments holding *evicted* dedup candidates for `hash` — what the
-    /// merge path must restore before it may intern a state with this hash.
-    fn cold_candidate_segments(&self, hash: u64) -> Vec<usize> {
-        let mut segs = Vec::new();
-        if let Some(ids) = self.index.get(&hash) {
-            for &id in ids {
-                if self.arena[id as usize].is_none() {
-                    let seg = id as usize / ARENA_SEGMENT;
-                    if !segs.contains(&seg) {
-                        segs.push(seg);
-                    }
-                }
-            }
-        }
-        segs
     }
 }
 
@@ -275,42 +193,26 @@ impl StateInterner {
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not issued by this interner, or if its segment is
-    /// evicted (restore it first; see
-    /// [`restore_object_segment`](Self::restore_object_segment)).
+    /// Panics if `id` was not issued by this interner.
     pub fn object(&self, id: u32) -> &Value {
-        self.objs.arena[id as usize]
-            .as_deref()
-            .expect("object state evicted — restore its segment before dereferencing")
+        &self.objs.arena[id as usize]
     }
 
     /// Returns the interned process state with id `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not issued by this interner, or if its segment is
-    /// evicted (restore it first; see
-    /// [`restore_proc_segment`](Self::restore_proc_segment)).
+    /// Panics if `id` was not issued by this interner.
     pub fn proc(&self, id: u32) -> &ProcState {
-        self.procs.arena[id as usize]
-            .as_deref()
-            .expect("proc state evicted — restore its segment before dereferencing")
+        &self.procs.arena[id as usize]
     }
 
     pub(crate) fn object_arc(&self, id: u32) -> Arc<Value> {
-        Arc::clone(
-            self.objs.arena[id as usize]
-                .as_ref()
-                .expect("object state evicted — restore its segment before dereferencing"),
-        )
+        Arc::clone(&self.objs.arena[id as usize])
     }
 
     pub(crate) fn proc_arc(&self, id: u32) -> Arc<ProcState> {
-        Arc::clone(
-            self.procs.arena[id as usize]
-                .as_ref()
-                .expect("proc state evicted — restore its segment before dereferencing"),
-        )
+        Arc::clone(&self.procs.arena[id as usize])
     }
 
     pub(crate) fn lookup_object_hashed(&self, hash: u64, state: &Value) -> Option<u32> {
@@ -330,13 +232,13 @@ impl StateInterner {
     }
 
     /// The single object-intern entry point: interns through the pool and
-    /// keeps the incremental resident-byte counter in step with genuinely
-    /// new states.
+    /// keeps the incremental state-byte counter in step with genuinely new
+    /// states.
     fn intern_obj_counted(&mut self, hash: u64, state: &Arc<Value>) -> u32 {
         let before = self.objs.arena.len();
         let id = self.objs.intern_hashed(hash, state, || Arc::clone(state));
         if self.objs.arena.len() > before {
-            self.objs.resident_bytes += value_bytes(state);
+            self.objs.state_bytes += value_bytes(state);
         }
         id
     }
@@ -348,7 +250,7 @@ impl StateInterner {
         let before = self.procs.arena.len();
         let id = self.procs.intern_hashed(hash, state, || Arc::clone(state));
         if self.procs.arena.len() > before {
-            self.procs.resident_bytes += proc_bytes(state);
+            self.procs.state_bytes += proc_bytes(state);
         }
         self.note_proc(id);
         id
@@ -358,10 +260,8 @@ impl StateInterner {
     fn note_proc(&mut self, id: u32) {
         let id = id as usize;
         if id == self.proc_enabled.len() {
-            let state = self.procs.arena[id]
-                .as_ref()
-                .expect("freshly interned proc state is always resident");
-            self.proc_enabled.push(state.status.is_enabled());
+            self.proc_enabled
+                .push(self.procs.arena[id].status.is_enabled());
         }
     }
 
@@ -429,7 +329,7 @@ impl StateInterner {
     /// *content* hashes (recorded at intern time) rather than the ids, so
     /// equal configurations fingerprint identically no matter which
     /// [`StateInterner`] issued the ids, or in what order its arenas were
-    /// populated (and across a disk spill and reload).
+    /// populated.
     ///
     /// # Panics
     ///
@@ -476,9 +376,9 @@ impl StateInterner {
     }
 
     /// Arena sizes, hit rates and footprint, for post-exploration reports.
-    /// O(1): the state bytes are maintained incrementally at intern /
-    /// evict / restore time, so budget-driven stores can call this per
-    /// level without rescanning the arenas.
+    /// O(1): the state bytes are maintained incrementally at intern time,
+    /// so budget-driven stores can call this per level without rescanning
+    /// the arenas.
     pub fn stats(&self) -> InternerStats {
         let (object_states, ohits, omisses) = self.objs.stats();
         let (proc_states, phits, pmisses) = self.procs.stats();
@@ -493,153 +393,15 @@ impl StateInterner {
     }
 
     /// Approximate bytes of the arena tables and hash indexes themselves
-    /// (never evicted; O(1)).
+    /// (O(1)).
     pub fn table_bytes(&self) -> usize {
         self.objs.table_bytes() + self.procs.table_bytes() + self.proc_enabled.len()
     }
 
-    /// Deep bytes of the states currently resident in the arenas (O(1);
-    /// equals the full state footprint when nothing is evicted).
+    /// Deep bytes of the states stored in the arenas (O(1); they all stay
+    /// resident).
     pub fn resident_state_bytes(&self) -> usize {
-        self.objs.resident_bytes + self.procs.resident_bytes
-    }
-
-    /// Number of complete — hence evictable — object-arena segments.
-    pub fn object_segments(&self) -> usize {
-        self.objs.complete_segments()
-    }
-
-    /// Number of complete — hence evictable — proc-arena segments.
-    pub fn proc_segments(&self) -> usize {
-        self.procs.complete_segments()
-    }
-
-    /// Whether object segment `seg` is resident.
-    pub fn object_segment_resident(&self, seg: usize) -> bool {
-        self.objs.segment_resident(seg)
-    }
-
-    /// Whether proc segment `seg` is resident.
-    pub fn proc_segment_resident(&self, seg: usize) -> bool {
-        self.procs.segment_resident(seg)
-    }
-
-    /// Serializes object segment `seg` (resident, complete) into the
-    /// std-only binary form [`restore_object_segment`](Self::restore_object_segment)
-    /// reads back. Encoding is a pure function of the segment's values, so
-    /// re-encoding a restored segment is byte-identical.
-    pub fn encode_object_segment(&self, seg: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        for slot in self.objs.segment_range(seg) {
-            let v = self.objs.arena[slot]
-                .as_deref()
-                .expect("encoding an evicted object segment");
-            encode_value(v, &mut out);
-        }
-        out
-    }
-
-    /// Serializes proc segment `seg` (see
-    /// [`encode_object_segment`](Self::encode_object_segment)).
-    pub fn encode_proc_segment(&self, seg: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        for slot in self.procs.segment_range(seg) {
-            let p = self.procs.arena[slot]
-                .as_deref()
-                .expect("encoding an evicted proc segment");
-            encode_proc_state(p, &mut out);
-        }
-        out
-    }
-
-    /// Drops the values of object segment `seg`, returning the deep bytes
-    /// freed. Ids, content hashes, the dedup index and the enabled-bit
-    /// cache all stay — only dereferencing the values needs a restore.
-    pub fn evict_object_segment(&mut self, seg: usize) -> usize {
-        self.objs.evict_segment(seg, value_bytes)
-    }
-
-    /// Drops the values of proc segment `seg` (see
-    /// [`evict_object_segment`](Self::evict_object_segment)).
-    pub fn evict_proc_segment(&mut self, seg: usize) -> usize {
-        self.procs.evict_segment(seg, proc_bytes)
-    }
-
-    /// Restores object segment `seg` from
-    /// [`encode_object_segment`](Self::encode_object_segment) bytes,
-    /// returning the deep bytes now resident again. Decoded values hash
-    /// and compare identically to the originals, so every id keeps
-    /// denoting the same state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed bytes or if the segment is already resident.
-    pub fn restore_object_segment(&mut self, seg: usize, bytes: &[u8]) -> usize {
-        let range = self.objs.segment_range(seg);
-        let mut pos = 0;
-        let mut restored = 0;
-        for slot in range {
-            assert!(
-                self.objs.arena[slot].is_none(),
-                "restoring an already-resident object segment"
-            );
-            let v = decode_value(bytes, &mut pos);
-            debug_assert_eq!(
-                hash_one(&v),
-                self.objs.hashes[slot],
-                "restored object state hashes differently than at intern time"
-            );
-            restored += value_bytes(&v);
-            self.objs.arena[slot] = Some(Arc::new(v));
-        }
-        assert_eq!(pos, bytes.len(), "trailing bytes in object segment");
-        self.objs.resident_bytes += restored;
-        restored
-    }
-
-    /// Restores proc segment `seg` (see
-    /// [`restore_object_segment`](Self::restore_object_segment)).
-    pub fn restore_proc_segment(&mut self, seg: usize, bytes: &[u8]) -> usize {
-        let range = self.procs.segment_range(seg);
-        let mut pos = 0;
-        let mut restored = 0;
-        for slot in range {
-            assert!(
-                self.procs.arena[slot].is_none(),
-                "restoring an already-resident proc segment"
-            );
-            let p = decode_proc_state(bytes, &mut pos);
-            debug_assert_eq!(
-                hash_one(&p),
-                self.procs.hashes[slot],
-                "restored proc state hashes differently than at intern time"
-            );
-            restored += proc_bytes(&p);
-            self.procs.arena[slot] = Some(Arc::new(p));
-        }
-        assert_eq!(pos, bytes.len(), "trailing bytes in proc segment");
-        self.procs.resident_bytes += restored;
-        restored
-    }
-
-    /// The evicted segments that must be restored before
-    /// [`finalize`](Self::finalize) may intern `pending`'s fresh states:
-    /// every hash-colliding dedup candidate has to be resident for the
-    /// merge-side compare (a cold candidate would otherwise either panic
-    /// or, worse, let an equal state intern twice). Returns
-    /// `(is_proc, segment)` pairs, deduplicated.
-    pub fn cold_segments_for_pending(&self, pending: &PendingConfig, out: &mut Vec<(bool, usize)>) {
-        for f in &pending.fresh {
-            let (is_proc, pool_cold) = match f.state {
-                FreshState::Obj(_) => (false, self.objs.cold_candidate_segments(f.hash)),
-                FreshState::Proc(_) => (true, self.procs.cold_candidate_segments(f.hash)),
-            };
-            for seg in pool_cold {
-                if !out.contains(&(is_proc, seg)) {
-                    out.push((is_proc, seg));
-                }
-            }
-        }
+        self.objs.state_bytes + self.procs.state_bytes
     }
 }
 
@@ -667,172 +429,6 @@ fn proc_bytes(p: &ProcState) -> usize {
         n += items.iter().map(value_bytes).sum::<usize>();
     }
     n
-}
-
-// --- arena segment codec -------------------------------------------------
-//
-// A std-only, self-delimiting binary form for the two arena state types,
-// used by the disk store to spill cold segments. The encoding is a pure
-// function of the value (no ids, no interner history), so encode →
-// decode → encode is byte-stable, and decoded values are `Eq`/`Hash`
-// identical to the originals — which is exactly what keeps interner ids
-// meaningful across an evict/restore cycle.
-
-const TAG_NIL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_INT: u8 = 2;
-const TAG_SYM: u8 = 3;
-const TAG_TUP: u8 = 4;
-
-fn put_u32(n: u32, out: &mut Vec<u8>) {
-    out.extend_from_slice(&n.to_le_bytes());
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> u32 {
-    let n = u32::from_le_bytes(
-        bytes[*pos..*pos + 4]
-            .try_into()
-            .expect("truncated u32 in segment"),
-    );
-    *pos += 4;
-    n
-}
-
-fn take_u8(bytes: &[u8], pos: &mut usize) -> u8 {
-    let b = bytes[*pos];
-    *pos += 1;
-    b
-}
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Nil => out.push(TAG_NIL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Sym(s) => {
-            out.push(TAG_SYM);
-            put_u32(
-                u32::try_from(s.len()).expect("symbol length exceeds u32"),
-                out,
-            );
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Tup(items) => {
-            out.push(TAG_TUP);
-            put_u32(
-                u32::try_from(items.len()).expect("tuple length exceeds u32"),
-                out,
-            );
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-    }
-}
-
-fn decode_value(bytes: &[u8], pos: &mut usize) -> Value {
-    match take_u8(bytes, pos) {
-        TAG_NIL => Value::Nil,
-        TAG_BOOL => Value::Bool(take_u8(bytes, pos) != 0),
-        TAG_INT => {
-            let i = i64::from_le_bytes(
-                bytes[*pos..*pos + 8]
-                    .try_into()
-                    .expect("truncated i64 in segment"),
-            );
-            *pos += 8;
-            Value::Int(i)
-        }
-        TAG_SYM => {
-            let len = take_u32(bytes, pos) as usize;
-            let s =
-                std::str::from_utf8(&bytes[*pos..*pos + len]).expect("non-UTF-8 symbol in segment");
-            *pos += len;
-            Value::Sym(leak_symbol(s))
-        }
-        TAG_TUP => {
-            let len = take_u32(bytes, pos) as usize;
-            Value::Tup((0..len).map(|_| decode_value(bytes, pos)).collect())
-        }
-        tag => panic!("unknown value tag {tag} in segment"),
-    }
-}
-
-const STATUS_FRESH: u8 = 0;
-const STATUS_RUNNING: u8 = 1;
-const STATUS_DECIDED: u8 = 2;
-const STATUS_HUNG: u8 = 3;
-
-fn encode_proc_state(p: &ProcState, out: &mut Vec<u8>) {
-    encode_value(&p.local, out);
-    match &p.resp {
-        None => out.push(0),
-        Some(r) => {
-            out.push(1);
-            encode_value(r, out);
-        }
-    }
-    match &p.status {
-        ProcStatus::Fresh => out.push(STATUS_FRESH),
-        ProcStatus::Running => out.push(STATUS_RUNNING),
-        ProcStatus::Decided(v) => {
-            out.push(STATUS_DECIDED);
-            encode_value(v, out);
-        }
-        ProcStatus::Hung => out.push(STATUS_HUNG),
-    }
-}
-
-fn decode_proc_state(bytes: &[u8], pos: &mut usize) -> ProcState {
-    let local = decode_value(bytes, pos);
-    let resp = match take_u8(bytes, pos) {
-        0 => None,
-        1 => Some(decode_value(bytes, pos)),
-        tag => panic!("unknown resp tag {tag} in segment"),
-    };
-    let status = match take_u8(bytes, pos) {
-        STATUS_FRESH => ProcStatus::Fresh,
-        STATUS_RUNNING => ProcStatus::Running,
-        STATUS_DECIDED => ProcStatus::Decided(decode_value(bytes, pos)),
-        STATUS_HUNG => ProcStatus::Hung,
-        tag => panic!("unknown status tag {tag} in segment"),
-    };
-    ProcState {
-        local,
-        resp,
-        status,
-    }
-}
-
-/// Interns a decoded symbol string into a process-global `&'static str`
-/// table. `Value::Sym` carries `&'static str` (normally string literals);
-/// decode has to mint an equal one. `Value`'s `Eq`/`Hash` go through str
-/// *content*, so a leaked copy is indistinguishable from the literal — and
-/// the table bounds the leak at one allocation per distinct symbol per
-/// process, no matter how many segments are restored.
-fn leak_symbol(s: &str) -> &'static str {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    use std::sync::OnceLock;
-    static SYMBOLS: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut table = SYMBOLS
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .expect("symbol table lock");
-    match table.get(s) {
-        Some(interned) => interned,
-        None => {
-            let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-            table.insert(leaked);
-            leaked
-        }
-    }
 }
 
 /// A fully interned configuration: `nobjects` object-state ids followed by
@@ -1209,141 +805,6 @@ mod tests {
             "content fingerprint must not depend on interner history"
         );
         assert_eq!(in_a.materialize(&a), in_b.materialize(&b));
-    }
-
-    #[test]
-    fn value_codec_round_trips_all_variants() {
-        let v = Value::tup([
-            Value::Nil,
-            Value::Bool(true),
-            Value::Int(-42),
-            Value::Sym("opened"),
-            Value::tup([Value::Int(7), Value::Sym("x")]),
-        ]);
-        let mut bytes = Vec::new();
-        encode_value(&v, &mut bytes);
-        let mut pos = 0;
-        let back = decode_value(&bytes, &mut pos);
-        assert_eq!(pos, bytes.len());
-        assert_eq!(back, v);
-        assert_eq!(
-            hash_one(&back),
-            hash_one(&v),
-            "decoded value must rehash equal"
-        );
-        // Re-encoding the decoded value is byte-identical.
-        let mut again = Vec::new();
-        encode_value(&back, &mut again);
-        assert_eq!(again, bytes);
-        // Proc states, through every status.
-        for status in [
-            ProcStatus::Fresh,
-            ProcStatus::Running,
-            ProcStatus::Decided(Value::Sym("yes")),
-            ProcStatus::Hung,
-        ] {
-            let p = ProcState {
-                local: v.clone(),
-                resp: Some(Value::Int(1)),
-                status,
-            };
-            let mut b = Vec::new();
-            encode_proc_state(&p, &mut b);
-            let mut pos = 0;
-            let back = decode_proc_state(&b, &mut pos);
-            assert_eq!(pos, b.len());
-            assert_eq!(back, p);
-            assert_eq!(hash_one(&back), hash_one(&p));
-        }
-    }
-
-    #[test]
-    fn segment_evict_restore_preserves_ids_and_bytes() {
-        let mut interner = StateInterner::new();
-        // Fill two complete object segments plus a partial tail.
-        let total = 2 * ARENA_SEGMENT + 3;
-        for i in 0..total {
-            interner.intern_object_arc(&Arc::new(Value::Int(i as i64)));
-        }
-        assert_eq!(interner.object_segments(), 2);
-        let full_bytes = interner.resident_state_bytes();
-        let encoded = interner.encode_object_segment(0);
-        let freed = interner.evict_object_segment(0);
-        assert!(freed > 0);
-        assert!(!interner.object_segment_resident(0));
-        assert!(interner.object_segment_resident(1));
-        assert_eq!(interner.resident_state_bytes(), full_bytes - freed);
-        // Evicted candidates become worker-side false misses, never wrong
-        // ids.
-        let v = Value::Int(0);
-        assert_eq!(interner.lookup_object_hashed(hash_one(&v), &v), None);
-        // Restore: same ids denote the same states, bytes return exactly.
-        let restored = interner.restore_object_segment(0, &encoded);
-        assert_eq!(restored, freed);
-        assert_eq!(interner.resident_state_bytes(), full_bytes);
-        assert_eq!(interner.object(0), &Value::Int(0));
-        assert_eq!(
-            interner.lookup_object_hashed(hash_one(&v), &v),
-            Some(0),
-            "restored candidate deduplicates onto its original id"
-        );
-        // Re-encoding the restored segment is byte-identical.
-        assert_eq!(interner.encode_object_segment(0), encoded);
-    }
-
-    #[test]
-    fn cold_segments_name_exactly_the_evicted_candidates() {
-        let mut interner = StateInterner::new();
-        for i in 0..ARENA_SEGMENT + 1 {
-            interner.intern_proc_arc(&Arc::new(ProcState {
-                local: Value::Int(i as i64),
-                resp: None,
-                status: ProcStatus::Running,
-            }));
-        }
-        let encoded = interner.encode_proc_segment(0);
-        interner.evict_proc_segment(0);
-        // A pending config whose fresh proc equals an evicted state must
-        // name segment 0; one equal to the resident tail state must not.
-        let mk_pending = |interner: &StateInterner, i: i64| {
-            let mut pending = PendingConfig::copy_of(0, &[PLACEHOLDER]);
-            pending.set_proc_state(
-                interner,
-                0,
-                ProcState {
-                    local: Value::Int(i),
-                    resp: None,
-                    status: ProcStatus::Running,
-                },
-            );
-            pending
-        };
-        let cold_hit = mk_pending(&interner, 0);
-        let mut cold = Vec::new();
-        interner.cold_segments_for_pending(&cold_hit, &mut cold);
-        assert_eq!(cold, vec![(true, 0)]);
-        let warm = mk_pending(&interner, ARENA_SEGMENT as i64);
-        assert!(
-            warm.is_resolved(),
-            "tail state is resident, worker lookup resolves it"
-        );
-        // After restoring, finalize dedups the cold-hit onto its old id.
-        interner.restore_proc_segment(0, &encoded);
-        let compact = interner.finalize(cold_hit);
-        assert_eq!(compact.words(), &[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "interning against an evicted candidate")]
-    fn interning_against_cold_candidate_panics_instead_of_duplicating() {
-        let mut interner = StateInterner::new();
-        for i in 0..ARENA_SEGMENT {
-            interner.intern_object_arc(&Arc::new(Value::Int(i as i64)));
-        }
-        interner.evict_object_segment(0);
-        // Equal to an evicted state: blind interning would mint a second id
-        // for it and break the id ⇔ value bijection. The pool refuses.
-        interner.intern_object_arc(&Arc::new(Value::Int(5)));
     }
 
     #[test]

@@ -220,17 +220,17 @@ impl TruncationCause {
 /// are always on; the `*_ns` fields follow the recorder's timing flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
-    /// Bytes written to spill files (rows, arena segments, index runs).
+    /// Bytes written to spill files (node rows, index runs).
     pub spilled_bytes: u64,
-    /// Every read from a spill file: row faults, segment restores, the
-    /// freeze-time row readback and [`index_reads`](Self::index_reads).
+    /// Every read from a spill file: row faults, the freeze-time row
+    /// readback and [`index_reads`](Self::index_reads).
     pub reload_count: u64,
     /// Spilled fingerprint-index reads (one per probed run), included in
     /// [`reload_count`](Self::reload_count).
     pub index_reads: u64,
-    /// Row/segment accesses served from the hot tier.
+    /// Row accesses served from the hot tier.
     pub hot_hits: u64,
-    /// Row/segment accesses that had to fault from disk.
+    /// Row accesses that had to fault from disk.
     pub hot_misses: u64,
     /// Wall time writing spill files (timed runs only).
     pub spill_write_ns: u64,

@@ -73,8 +73,8 @@ if [[ "$RUN_BENCH_SMOKE" == "1" ]]; then
   # against the committed BENCH_modelcheck.json, so bench bit-rot,
   # reduction regressions (graphs growing back) and per-config memory
   # regressions all fail the gate.
-  # INTERNER_STATS=1 additionally exercises the hash-consing diagnostics
-  # path and surfaces the arena summaries.
+  # INTERNER_STATS=1 surfaces the hash-consing arena summaries, which the
+  # guard's disk-store gate diffs either way.
   echo "==> bench guard (BENCH_SMOKE=1): e9_modelcheck vs BENCH_modelcheck.json"
   INTERNER_STATS=1 bash scripts/bench_guard.sh
 fi

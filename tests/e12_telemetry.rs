@@ -307,7 +307,13 @@ fn disk_store_metrics_reported_and_consistent() {
     // counters are internally consistent, and serialize it into the
     // metrics JSON; memory runs must keep the field null.
     let spec = grouped_system(2, 1, 3, false);
-    let plain = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
+    // Pinned to the memory store, so an `MC_STORE=disk` environment
+    // cannot turn the baseline into a disk run.
+    let plain = StateGraph::explore(
+        &spec,
+        &ExploreOptions::default().with_store(StoreBackend::Memory),
+    )
+    .unwrap();
     assert!(
         plain.metrics().store.is_none(),
         "memory runs report no store metrics"

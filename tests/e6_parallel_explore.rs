@@ -12,7 +12,10 @@ use subconsensus_modelcheck::{
     check_wait_freedom, ExploreOptions, StateGraph, StoreBackend, Valency,
 };
 use subconsensus_protocols::ProposeDecide;
-use subconsensus_sim::{Protocol, SystemBuilder, SystemSpec, Value};
+use subconsensus_sim::{
+    Action, ObjId, ObjectError, ObjectSpec, Op, Outcome, ProcCtx, Protocol, ProtocolError,
+    SystemBuilder, SystemSpec, Value,
+};
 
 /// `procs` processes proposing distinct values through one
 /// `GroupedObject::for_level(n, k)` — the E1 benchmark fixture.
@@ -72,35 +75,102 @@ fn interned_store_matches_deep_store_across_thread_counts() {
     }
 }
 
-#[test]
-fn disk_store_graph_identical_and_reconstituted() {
-    // The disk-backed store, forced to spill by a hot-tier budget far
-    // below the fixture's footprint, must reproduce the in-memory graph
-    // node-for-node — and the reference explorer's — at every thread
-    // count, and the freeze-time reconstitution must land on the exact
-    // in-memory representation (same `approx_bytes`, same interner
-    // arenas), because arenas are append-only and ids never move under
-    // eviction.
-    let spec = grouped_system(2, 1, 4);
+/// A counter: every `inc` makes a brand-new state, so the arenas grow
+/// with the walk length rather than staying at a handful of states.
+#[derive(Debug)]
+struct Counter;
+
+impl ObjectSpec for Counter {
+    fn type_name(&self) -> &'static str {
+        "counter"
+    }
+
+    fn initial_state(&self) -> Value {
+        Value::Int(0)
+    }
+
+    fn apply(&self, state: &Value, op: &Op) -> Result<Vec<Outcome>, ObjectError> {
+        match op.name {
+            "inc" => {
+                let n = state.as_int().unwrap_or(0) + 1;
+                Ok(vec![Outcome::ret(Value::Int(n), Value::Int(n))])
+            }
+            _ => Err(ObjectError::UnknownOp {
+                object: "counter",
+                op: op.clone(),
+            }),
+        }
+    }
+}
+
+/// Increment `rounds` times, then decide the last response.
+#[derive(Debug)]
+struct IncMany {
+    counter: ObjId,
+    rounds: i64,
+}
+
+impl Protocol for IncMany {
+    fn start(&self, _ctx: &ProcCtx) -> Value {
+        Value::Int(0)
+    }
+
+    fn step(
+        &self,
+        _ctx: &ProcCtx,
+        local: &Value,
+        resp: Option<&Value>,
+    ) -> Result<Action, ProtocolError> {
+        match local.as_int() {
+            Some(i) if i < self.rounds => Ok(Action::invoke(
+                Value::Int(i + 1),
+                self.counter,
+                Op::new("inc"),
+            )),
+            _ => Ok(Action::Decide(resp.cloned().unwrap_or(Value::Nil))),
+        }
+    }
+}
+
+/// Two `rounds`-round incrementers over one [`Counter`].
+fn counter_system(rounds: i64) -> SystemSpec {
+    let mut b = SystemBuilder::new();
+    let counter = b.add_object(Counter);
+    let p: Arc<dyn Protocol> = Arc::new(IncMany { counter, rounds });
+    b.add_processes(p, [1i64, 2].into_iter().map(Value::Int));
+    b.build()
+}
+
+/// Hot-tier budget of the disk-store test: far below every fixture's
+/// footprint, so the store must spill.
+const DISK_BUDGET: usize = 16 << 10;
+
+/// Explores `spec` on the disk store at [`DISK_BUDGET`] and checks it
+/// against the in-memory store and the reference explorer at 1 and 4
+/// threads. Returns the in-memory graph.
+fn assert_disk_store_reconstitutes(spec: &SystemSpec, label: &str) -> StateGraph {
     let base = StateGraph::explore(
-        &spec,
+        spec,
         &ExploreOptions::default().with_store(StoreBackend::Memory),
     )
     .unwrap();
-    assert!(base.len() > 500, "fixture must dwarf the tiny budget");
-    let reference = support::reference_for(&spec, &ExploreOptions::default());
-    support::assert_matches_reference(&base, &reference, "memory");
+    assert!(
+        base.len() > 500,
+        "{label}: fixture must dwarf the tiny budget"
+    );
+    let reference = support::reference_for(spec, &ExploreOptions::default());
+    support::assert_matches_reference(&base, &reference, &format!("{label} memory"));
     for threads in [1usize, 4] {
         let opts = ExploreOptions::default()
             .with_threads(threads)
             .with_store(StoreBackend::Disk)
-            .with_store_budget(16 << 10);
-        let g = StateGraph::explore(&spec, &opts).unwrap();
-        support::assert_matches_reference(&g, &reference, &format!("disk x{threads} threads"));
+            .with_store_budget(DISK_BUDGET);
+        let g = StateGraph::explore(spec, &opts).unwrap();
+        support::assert_matches_reference(&g, &reference, &format!("{label} disk x{threads}"));
         assert_eq!(
             g.approx_bytes(),
             base.approx_bytes(),
-            "{threads} threads: reconstituted store must cost what memory costs"
+            "{label} x{threads}: reconstituted store must cost what memory costs"
         );
         let stats = g.interner_stats().expect("disk store is interned");
         let base_stats = base.interner_stats().unwrap();
@@ -109,9 +179,32 @@ fn disk_store_graph_identical_and_reconstituted() {
         let sm = g.metrics().store.expect("disk runs report store metrics");
         assert!(
             sm.spilled_bytes > 0,
-            "{threads} threads: a 16 KiB budget must force spill"
+            "{label} x{threads}: a 16 KiB budget must force spill"
         );
     }
+    base
+}
+
+#[test]
+fn disk_store_graph_identical_and_reconstituted() {
+    // The disk-backed store, forced to spill by a hot-tier budget far
+    // below the fixture's footprint, must reproduce the in-memory graph
+    // node-for-node — and the reference explorer's — at every thread
+    // count, and the freeze-time reconstitution must land on the exact
+    // in-memory representation (same `approx_bytes`, same interner
+    // arenas): only node rows and fingerprint-index entries spill, and
+    // the arenas stay resident throughout.
+    assert_disk_store_reconstitutes(&grouped_system(2, 1, 4), "grouped (2,1,4)");
+    // The counter fixture's arenas alone outgrow the hot tier, so the
+    // store runs over budget on state it never spills.
+    let base = assert_disk_store_reconstitutes(&counter_system(20), "counter x2, 20 rounds");
+    let stats = base.interner_stats().unwrap();
+    assert!(
+        stats.table_bytes + stats.state_bytes > DISK_BUDGET,
+        "counter arenas ({} + {} B) must exceed the {DISK_BUDGET} B budget",
+        stats.table_bytes,
+        stats.state_bytes
+    );
 }
 
 #[test]
