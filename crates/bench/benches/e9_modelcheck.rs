@@ -5,9 +5,9 @@
 //! reduction and partial-order reduction on/off, and writes a
 //! machine-readable `BENCH_modelcheck.json` at the repo root with
 //! configs/sec, peak configuration counts, per-config memory, the
-//! reduction ratios and a per-phase wall-time breakdown (`phases`, from an
-//! instrumented post-warm-up exploration run per row with that row's exact
-//! options — see [`subconsensus_sim::ExploreMetrics`]), so perf
+//! reduction ratios and a per-phase wall-time breakdown (`phases`, from
+//! one post-warm-up exploration per row with that row's exact options —
+//! see [`subconsensus_sim::ExploreMetrics`]), so perf
 //! regressions are diffable across commits *and* attributable to a
 //! phase. A `meta` block records the hardware thread
 //! count, git revision (plus a `dirty` flag when the worktree differs
@@ -65,12 +65,11 @@ struct GraphFacts {
     approx_bytes: usize,
     /// Hash-consing arena stats.
     interner: Option<InternerStats>,
-    /// Per-phase wall-time breakdown (JSON object) of one instrumented
-    /// post-warm-up exploration; its `total_ns` approximates the timed
-    /// rows' `median_ns`.
+    /// Per-phase wall-time breakdown (JSON object) of one post-warm-up
+    /// exploration; its `total_ns` approximates the timed rows'
+    /// `median_ns`.
     phases: String,
-    /// Spill counters of the instrumented run (`None` on memory-backed
-    /// rows).
+    /// Spill counters of the same run (`None` on memory-backed rows).
     store: Option<StoreMetrics>,
 }
 
@@ -84,21 +83,10 @@ impl GraphFacts {
 }
 
 fn facts(spec: &SystemSpec, opts: &ExploreOptions) -> GraphFacts {
-    // One warm-up run, then a few instrumented ones keeping the fastest:
-    // the phase timers are on only for the instrumented runs, and at
-    // microsecond graph sizes a single run's clock reads and cold caches
-    // would inflate `total_ns` well past the timing loop's `median_ns`.
-    // Min-of-5 keeps the captured breakdown close to the timed kernels
-    // (the instrumented graph is node-for-node identical to the timed
-    // ones — telemetry is write-only). Smoke runs publish no numbers, so
-    // one instrumented pass suffices there — this runs once per row now,
-    // and the guard script runs the whole bench twice.
+    // One warm-up run, so cold caches do not inflate the breakdown, then
+    // the run whose facts and phases the row reports.
     StateGraph::explore(spec, opts).expect("explore");
-    let reps = if smoke_mode() { 1 } else { 5 };
-    let g = (0..reps)
-        .map(|_| StateGraph::explore(spec, &opts.clone().with_metrics(true)).expect("explore"))
-        .min_by_key(|g| g.metrics().total_ns)
-        .expect("at least one instrumented run");
+    let g = StateGraph::explore(spec, opts).expect("explore");
     let s = g.stats();
     GraphFacts {
         peak_configs: s.configs,
@@ -112,8 +100,7 @@ fn facts(spec: &SystemSpec, opts: &ExploreOptions) -> GraphFacts {
 }
 
 /// Deterministic facts of one verdict-goal exploration: the streaming
-/// verdict plus the phase telemetry proving the freeze and reverse-CSR
-/// phases never ran.
+/// verdict plus the phase telemetry proving the freeze never ran.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct VerdictFacts {
     configs: usize,
@@ -126,26 +113,17 @@ struct VerdictFacts {
 }
 
 fn verdict_facts(spec: &SystemSpec, opts: &ExploreOptions) -> VerdictFacts {
-    // Same warm-up + min-of-reps discipline as `facts`, but the verdict
-    // graph has no CSR: facts come from the verdict and the metrics, and
-    // the zero freeze/reverse-CSR phase counters are asserted right here —
-    // `_calls` distinguishes "skipped" from "too fast to time".
+    // Same warm-up discipline as `facts`, but the verdict graph has no
+    // CSR: facts come from the verdict and the metrics, and the skipped
+    // freeze is asserted right here — `freeze_calls` distinguishes
+    // "skipped" from "too fast to time".
     StateGraph::explore(spec, opts).expect("explore");
-    let reps = if smoke_mode() { 1 } else { 5 };
-    let g = (0..reps)
-        .map(|_| StateGraph::explore(spec, &opts.clone().with_metrics(true)).expect("explore"))
-        .min_by_key(|g| g.metrics().total_ns)
-        .expect("at least one instrumented run");
+    let g = StateGraph::explore(spec, opts).expect("explore");
     let m = g.metrics();
     assert_eq!(
-        (
-            m.freeze_ns,
-            m.reverse_csr_ns,
-            m.freeze_calls,
-            m.reverse_csr_calls
-        ),
-        (0, 0, 0, 0),
-        "verdict-goal exploration ran a freeze or reverse-CSR phase"
+        (m.freeze_ns, m.freeze_calls),
+        (0, 0),
+        "verdict-goal exploration ran a freeze"
     );
     let v = g
         .verdict()

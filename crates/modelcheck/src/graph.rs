@@ -49,12 +49,12 @@
 //! (`u32` node ids, one flat edge array) — per-node memory is two `u32`
 //! offsets instead of a `Vec` header plus allocation slack.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use subconsensus_sim::{
     git_revision, unix_time_ms, warn_once, Config, ExploreMetrics, InternerStats, PendingConfig,
-    Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner, StepFootprint, SystemSpec,
-    TruncationCause, Value,
+    Phase, Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner, StepFootprint,
+    SystemSpec, TruncationCause, Value,
 };
 
 use crate::fpindex::{fingerprint_words, FpTable};
@@ -84,20 +84,12 @@ pub struct ExploreOptions {
     /// `find_critical`, which needs full expansion. Composes with
     /// `symmetry` and `threads`.
     pub por: bool,
-    /// Turn the phase timers of the exploration telemetry on, so the
-    /// graph's [`metrics`](StateGraph::metrics) carry a wall-time
-    /// breakdown (expand / canonicalize / POR / dedup / merge / freeze).
-    /// Counters and per-level records are collected either way; the
-    /// explored graph is node-for-node identical with or without this
-    /// flag (the recorder is write-only from the explorer's view). The
-    /// `MC_PROGRESS` / `MC_TRACE` env vars also force timing on.
-    pub metrics: bool,
     /// What this exploration is for. The default,
     /// [`ExploreGoal::FullGraph`], builds and freezes the whole reachable
     /// graph. [`ExploreGoal::Verdict`] instead accumulates the queried
     /// properties *during* exploration, stops at the end of the first BFS
-    /// level where the query is refuted, and skips the freeze +
-    /// reverse-CSR phases entirely — the graph then carries a
+    /// level where the query is refuted, and skips the CSR freeze
+    /// entirely — the graph then carries a
     /// [`StreamingVerdict`] (see [`StateGraph::verdict`]) but no CSR.
     /// Early exit is at level granularity and the verdict fold is
     /// commutative, so verdicts and explored-config counts stay
@@ -131,7 +123,6 @@ impl Default for ExploreOptions {
             threads: 1,
             symmetry: false,
             por: false,
-            metrics: false,
             goal: ExploreGoal::FullGraph,
             store: StoreBackend::Auto,
             store_budget_bytes: None,
@@ -163,12 +154,6 @@ impl ExploreOptions {
     /// Returns these options with partial-order reduction on or off.
     pub fn with_por(mut self, por: bool) -> Self {
         self.por = por;
-        self
-    }
-
-    /// Returns these options with the telemetry phase timers on or off.
-    pub fn with_metrics(mut self, metrics: bool) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -233,9 +218,9 @@ impl ExploreOptions {
             .map_or_else(|| "null".to_string(), |b| b.to_string());
         format!(
             "{{\"max_configs\": {}, \"threads\": {}, \"symmetry\": {}, \
-             \"por\": {}, \"metrics\": {}, \"goal\": \"{goal}\", \
+             \"por\": {}, \"goal\": \"{goal}\", \
              \"store\": \"{store}\", \"store_budget_bytes\": {budget}}}",
-            self.max_configs, self.threads, self.symmetry, self.por, self.metrics
+            self.max_configs, self.threads, self.symmetry, self.por
         )
     }
 }
@@ -464,21 +449,13 @@ impl<'a> CompactStore<'a> {
     fn successors(&self, i: usize, pid: Pid, symmetry: bool) -> Result<Successors, SimError> {
         let row = self.row(i);
         let mut out = Vec::new();
-        let succs = {
-            let _t = self.rec.time_expand();
-            self.spec.compact_successors(&self.interner, row, pid)?
-        };
-        for mut pending in succs {
+        for mut pending in self.spec.compact_successors(&self.interner, row, pid)? {
             let perm = if symmetry {
-                let _t = self.rec.time_canonicalize();
                 self.spec.compact_canonicalize(&self.interner, &mut pending)
             } else {
                 None
             };
-            let fp = {
-                let _t = self.rec.time_dedup();
-                pending.resolved_words().map(fingerprint_words)
-            };
+            let fp = pending.resolved_words().map(fingerprint_words);
             out.push((CompactCarrier { pending, fp }, perm));
         }
         Ok(out)
@@ -769,7 +746,6 @@ fn expand_item(
     // both need them (POR only).
     let mut fps: Vec<Option<StepFootprint>> = Vec::new();
     if opts.por {
-        let _t = rec.time_por();
         fps = vec![None; store.spec.nprocs()];
         let mut it = enabled;
         while it != 0 {
@@ -782,7 +758,6 @@ fn expand_item(
     let (fire, sleep, slept) = if !opts.por {
         (enabled, 0, 0)
     } else if item.fresh {
-        let _t = rec.time_por();
         let sleep = first_sleep[node] & enabled;
         let ample = choose_ample(store.spec, enabled, &fps);
         let mut fire = ample & !sleep;
@@ -821,7 +796,6 @@ fn expand_item(
             }
             let mut succ_sleep = 0u64;
             if base != 0 {
-                let _t = rec.time_por();
                 let me = fps[i].as_ref().expect("enabled pid has a footprint");
                 let mut qs = base;
                 while qs != 0 {
@@ -838,12 +812,9 @@ fn expand_item(
                     succ_sleep = permute_mask(succ_sleep, perm);
                 }
             }
-            let step = {
-                let _t = rec.time_dedup();
-                match store.lookup(&next) {
-                    Some(j) => StepResult::Existing(j),
-                    None => StepResult::Fresh(next),
-                }
+            let step = match store.lookup(&next) {
+                Some(j) => StepResult::Existing(j),
+                None => StepResult::Fresh(next),
             };
             steps.push((pid, step, succ_sleep));
         }
@@ -1178,14 +1149,14 @@ fn explore_core(
     };
     let mut frontier_ids: Vec<usize> = Vec::new();
     while !level.is_empty() {
-        // Level wall time feeds the per-level trace records; read the
-        // clock only when timing is on so the untimed path stays
-        // syscall-free.
-        let t_level = rec.is_timing().then(Instant::now);
+        // Four clock reads per level: the store, expand and merge phases
+        // are chained laps, and their sum is the level's trace record.
+        let t_level = Instant::now();
         let nodes_before = depth.len();
         frontier_ids.clear();
         frontier_ids.extend(level.iter().map(|it| it.node));
         store.begin_level(&frontier_ids);
+        let t_expand = rec.lap(Phase::Store, t_level);
         let over_budget = mem_budget.is_some_and(|b| store.resident_estimate() > b);
         let level_cap = if over_budget { 0 } else { opts.max_configs };
         let ctx = LevelCtx {
@@ -1195,7 +1166,7 @@ fn explore_core(
             remaining: opts.max_configs.saturating_sub(nodes_before),
         };
         let expansions = expand_level(&*store, &first_sleep, &level, opts, ctx)?;
-        let merge_t = rec.time_merge();
+        let t_merge = rec.lap(Phase::Expand, t_expand);
         let mut next_level: Vec<WorkItem> = Vec::new();
         // POR: edges into already-known nodes; processed only after the
         // whole level has merged, because the target's own expansion may
@@ -1222,45 +1193,39 @@ fn explore_core(
                     }
                     // A worker's miss can be an earlier merge of this same
                     // level; `insert` re-checks before adding.
-                    StepResult::Fresh(next) => {
-                        let slot = {
-                            let _t = rec.time_intern();
-                            store.insert(next, level_cap)
-                        };
-                        match slot {
-                            MergeSlot::Known(j) => {
-                                rec.count_dedup_hits(1);
-                                (j, true)
-                            }
-                            MergeSlot::Capped => {
-                                rec.count_capped(1);
-                                match mem_budget {
-                                    Some(b) if over_budget => rec.set_budget_truncated(b),
-                                    _ => rec.set_truncated(opts.max_configs),
-                                }
-                                truncated = true;
-                                continue;
-                            }
-                            MergeSlot::Added(j) => {
-                                rec.count_added(1);
-                                assert!(j < u32::MAX as usize, "state graph exceeds u32 node ids");
-                                depth.push(cur_depth + 1);
-                                first_sleep.push(succ_sleep);
-                                explored.push(0);
-                                slept.push(0);
-                                pending.push(0);
-                                expanded.push(false);
-                                full.push(false);
-                                next_level.push(WorkItem {
-                                    node: j,
-                                    fire: 0,
-                                    sleep: 0,
-                                    fresh: true,
-                                });
-                                (j, false)
-                            }
+                    StepResult::Fresh(next) => match store.insert(next, level_cap) {
+                        MergeSlot::Known(j) => {
+                            rec.count_dedup_hits(1);
+                            (j, true)
                         }
-                    }
+                        MergeSlot::Capped => {
+                            rec.count_capped(1);
+                            match mem_budget {
+                                Some(b) if over_budget => rec.set_budget_truncated(b),
+                                _ => rec.set_truncated(opts.max_configs),
+                            }
+                            truncated = true;
+                            continue;
+                        }
+                        MergeSlot::Added(j) => {
+                            rec.count_added(1);
+                            assert!(j < u32::MAX as usize, "state graph exceeds u32 node ids");
+                            depth.push(cur_depth + 1);
+                            first_sleep.push(succ_sleep);
+                            explored.push(0);
+                            slept.push(0);
+                            pending.push(0);
+                            expanded.push(false);
+                            full.push(false);
+                            next_level.push(WorkItem {
+                                node: j,
+                                fire: 0,
+                                sleep: 0,
+                                fresh: true,
+                            });
+                            (j, false)
+                        }
+                    },
                 };
                 if known && depth[j] <= depth[i] {
                     // Retreating edge — the only kind that can close a
@@ -1347,22 +1312,22 @@ fn explore_core(
                 });
             }
         }
-        drop(merge_t);
         rec.record_peak_bytes(store.resident_estimate());
-        // Level-granular verdict evaluation: at most one (untimed) cycle
-        // check per level, then exit if any queried conjunct is refuted.
+        // Level-granular verdict evaluation: at most one cycle check per
+        // level, then exit if any queried conjunct is refuted.
         if let Some(eng) = engine.as_mut() {
             if eng.wants_cycle_check() {
                 eng.record_cycle_check(edge_buf_has_cycle(depth.len(), &edge_buf));
             }
             early_exit = eng.refutation().is_some();
         }
+        let t_end = rec.lap(Phase::Merge, t_merge);
         rec.record_level(
             level.len(),
             depth.len() - nodes_before,
             depth.len(),
             edge_buf.len(),
-            t_level.map_or(Duration::ZERO, |t| t.elapsed()),
+            t_end - t_level,
         );
         rec.heartbeat(
             cur_depth,
@@ -1396,7 +1361,10 @@ fn explore_core(
         // Verdict goal: nobody reads the CSR — skip the freeze entirely.
         (Vec::new(), Vec::new())
     } else {
-        freeze_csr(depth.len(), edge_buf, rec)
+        let t_freeze = Instant::now();
+        let csr = freeze_csr(depth.len(), edge_buf);
+        rec.lap(Phase::Freeze, t_freeze);
+        csr
     };
     Ok(GraphCore {
         row_ptr,
@@ -1409,9 +1377,9 @@ fn explore_core(
 }
 
 /// Cycle check over the in-flight edge buffer: builds a throwaway CSR and
-/// runs the same three-color DFS as [`StateGraph::has_cycle`]. Deliberately
-/// *untimed* — under a verdict goal the freeze/reverse-CSR slots must read
-/// zero calls, and this linear scan is part of the streaming merge work.
+/// runs the same three-color DFS as [`StateGraph::has_cycle`]. Part of the
+/// streaming merge work, not a freeze: under a verdict goal
+/// `freeze_calls` stays 0.
 fn edge_buf_has_cycle(n: usize, edge_buf: &[(u32, Edge)]) -> bool {
     let mut row_ptr = vec![0u32; n + 1];
     for &(from, _) in edge_buf {
@@ -1460,8 +1428,7 @@ fn edge_buf_has_cycle(n: usize, edge_buf: &[(u32, Edge)]) -> bool {
 /// Freezes a flat `(from, edge)` buffer into CSR adjacency: a stable
 /// counting sort by source node (edges of one node keep their merge
 /// order).
-fn freeze_csr(n: usize, edge_buf: Vec<(u32, Edge)>, rec: &Recorder) -> (Vec<u32>, Vec<Edge>) {
-    let _t = rec.time_freeze();
+fn freeze_csr(n: usize, edge_buf: Vec<(u32, Edge)>) -> (Vec<u32>, Vec<Edge>) {
     assert!(
         edge_buf.len() < u32::MAX as usize,
         "state graph exceeds u32 edge ids"
@@ -1526,11 +1493,11 @@ impl StateGraph {
     ///
     /// Propagates any [`SimError`] raised while stepping.
     pub fn explore(spec: &SystemSpec, opts: &ExploreOptions) -> Result<Self, SimError> {
-        Self::explore_with(spec, opts, &Recorder::from_env(opts.metrics))
+        Self::explore_with(spec, opts, &Recorder::from_env())
     }
 
     /// [`explore`](Self::explore) with an explicit telemetry [`Recorder`]
-    /// (progress callbacks, trace sinks, forced timing — see the
+    /// (progress callbacks, trace, status and ledger sinks — see the
     /// `Recorder` builders). The recorder is write-only from the
     /// explorer's point of view, so the produced graph is node-for-node
     /// identical to an uninstrumented exploration; the final snapshot is
@@ -1545,6 +1512,7 @@ impl StateGraph {
         opts: &ExploreOptions,
         rec: &Recorder,
     ) -> Result<Self, SimError> {
+        let t_start = Instant::now();
         // Wall-clock start for the run ledger (the recorder's own clock is
         // monotonic); read only when a ledger is installed.
         let started_unix_ms = if rec.run_log().is_some() {
@@ -1569,11 +1537,14 @@ impl StateGraph {
             store.enable_spill(opts.effective_store_budget().unwrap_or(DEFAULT_DISK_BUDGET));
             rec.mark_store_active();
         }
+        rec.lap(Phase::Setup, t_start);
         let core = explore_core(&mut store, &opts, rec)?;
         // Reconstitute before freezing (bit-identical to an in-memory
         // run: the arenas never left RAM and the rows come back in id
         // order); the spill drops here, removing its run directory.
+        let t_unspill = Instant::now();
         store.unspill();
+        rec.lap(Phase::Store, t_unspill);
         let CompactStore {
             interner,
             nobjects,
@@ -1598,6 +1569,7 @@ impl StateGraph {
             metrics: ExploreMetrics::default(),
             verdict: core.verdict,
         };
+        rec.lap(Phase::Total, t_start);
         let mut metrics = rec.snapshot();
         metrics.configs = graph.len();
         // Under a verdict goal the CSR is never frozen; `core.edges`
@@ -1646,9 +1618,7 @@ impl StateGraph {
     }
 
     /// The telemetry snapshot of the exploration that built this graph:
-    /// counters and per-level records always, phase wall times when the
-    /// exploration was instrumented ([`ExploreOptions::metrics`], an
-    /// explicit [`Recorder`], or `MC_PROGRESS`/`MC_TRACE`).
+    /// counters, per-level records and phase wall times.
     pub fn metrics(&self) -> &ExploreMetrics {
         &self.metrics
     }

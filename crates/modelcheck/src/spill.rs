@@ -49,7 +49,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use subconsensus_sim::Recorder;
 
@@ -110,19 +109,6 @@ fn create_file(dir: &RunDir, name: &str) -> File {
                 dir.path.display()
             )
         })
-}
-
-/// Times one spill I/O operation onto the recorder's spill slots, only
-/// when the phase timers are on (the untimed path reads no clock).
-fn timed<R>(rec: &Recorder, add: impl Fn(&Recorder, u64), op: impl FnOnce() -> R) -> R {
-    if rec.is_timing() {
-        let t0 = Instant::now();
-        let out = op();
-        add(rec, t0.elapsed().as_nanos() as u64);
-        out
-    } else {
-        op()
-    }
 }
 
 /// One store's spill state: the run directory, its two files and the rows
@@ -191,12 +177,10 @@ impl Spill {
         if words.is_empty() {
             return;
         }
-        timed(rec, Recorder::add_spill_write_ns, || {
-            self.rows_file
-                .seek(SeekFrom::End(0))
-                .and_then(|_| self.rows_file.write_all(words_as_bytes(words)))
-                .unwrap_or_else(|e| panic!("spill: rows write failed: {e}"));
-        });
+        self.rows_file
+            .seek(SeekFrom::End(0))
+            .and_then(|_| self.rows_file.write_all(words_as_bytes(words)))
+            .unwrap_or_else(|e| panic!("spill: rows write failed: {e}"));
         self.hot_base += words.len() / self.stride;
         rec.count_spilled_bytes(std::mem::size_of_val(words) as u64);
     }
@@ -219,13 +203,11 @@ impl Spill {
         debug_assert!(i < self.hot_base);
         if !self.reloaded.contains_key(&i) {
             let mut row = vec![0u32; self.stride].into_boxed_slice();
-            timed(rec, Recorder::add_spill_read_ns, || {
-                let off = (i * self.stride * 4) as u64;
-                self.rows_file
-                    .seek(SeekFrom::Start(off))
-                    .and_then(|_| self.rows_file.read_exact(words_as_bytes_mut(&mut row)))
-                    .unwrap_or_else(|e| panic!("spill: row {i} read failed: {e}"));
-            });
+            let off = (i * self.stride * 4) as u64;
+            self.rows_file
+                .seek(SeekFrom::Start(off))
+                .and_then(|_| self.rows_file.read_exact(words_as_bytes_mut(&mut row)))
+                .unwrap_or_else(|e| panic!("spill: row {i} read failed: {e}"));
             rec.count_store_reloads(1);
             self.reloaded.insert(i, row);
         }
@@ -253,18 +235,16 @@ impl Spill {
             .map_or(0, |r| r.start + (r.len * PAIR_BYTES) as u64);
         let bytes = (pairs.len() * PAIR_BYTES) as u64;
         let file = &mut self.idx_file;
-        timed(rec, Recorder::add_spill_write_ns, || {
-            file.seek(SeekFrom::Start(start))
-                .and_then(|_| {
-                    let mut w = BufWriter::new(&mut *file);
-                    for &(fp, id) in &pairs {
-                        w.write_all(&fp.to_le_bytes())?;
-                        w.write_all(&id.to_le_bytes())?;
-                    }
-                    w.flush()
-                })
-                .unwrap_or_else(|e| panic!("spill: index run write failed: {e}"));
-        });
+        file.seek(SeekFrom::Start(start))
+            .and_then(|_| {
+                let mut w = BufWriter::new(&mut *file);
+                for &(fp, id) in &pairs {
+                    w.write_all(&fp.to_le_bytes())?;
+                    w.write_all(&id.to_le_bytes())?;
+                }
+                w.flush()
+            })
+            .unwrap_or_else(|e| panic!("spill: index run write failed: {e}"));
         self.runs.push(IndexRun {
             start,
             len: pairs.len(),
@@ -287,12 +267,9 @@ impl Spill {
             let hi = (end * BLOCK_PAIRS).min(run.len);
             self.block_buf.resize((hi - lo) * PAIR_BYTES, 0);
             let file = &mut self.idx_file;
-            let buf = &mut self.block_buf;
-            timed(rec, Recorder::add_spill_read_ns, || {
-                file.seek(SeekFrom::Start(run.start + (lo * PAIR_BYTES) as u64))
-                    .and_then(|_| file.read_exact(buf))
-                    .unwrap_or_else(|e| panic!("spill: index block read failed: {e}"));
-            });
+            file.seek(SeekFrom::Start(run.start + (lo * PAIR_BYTES) as u64))
+                .and_then(|_| file.read_exact(&mut self.block_buf))
+                .unwrap_or_else(|e| panic!("spill: index block read failed: {e}"));
             rec.count_index_reads(1);
             rec.count_store_reloads(1);
             for pair in self.block_buf.chunks_exact(PAIR_BYTES) {
@@ -319,12 +296,10 @@ impl Spill {
     pub(crate) fn read_all_rows(&mut self, rec: &Recorder) -> Vec<u32> {
         let mut words = vec![0u32; self.hot_base * self.stride];
         if !words.is_empty() {
-            timed(rec, Recorder::add_spill_read_ns, || {
-                self.rows_file
-                    .seek(SeekFrom::Start(0))
-                    .and_then(|_| self.rows_file.read_exact(words_as_bytes_mut(&mut words)))
-                    .unwrap_or_else(|e| panic!("spill: rows readback failed: {e}"));
-            });
+            self.rows_file
+                .seek(SeekFrom::Start(0))
+                .and_then(|_| self.rows_file.read_exact(words_as_bytes_mut(&mut words)))
+                .unwrap_or_else(|e| panic!("spill: rows readback failed: {e}"));
             rec.count_store_reloads(1);
         }
         words

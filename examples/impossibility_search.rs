@@ -86,19 +86,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ── exploration telemetry demo ──────────────────────────────────────
-    // One instrumented exploration of the E1 fixture (3 processes through
-    // a deterministic O_{2,1}): a heartbeat per level and the full phase /
-    // counter breakdown at the end. Every exploration above accepts the
-    // same instrumentation via `MC_PROGRESS=1` / `MC_TRACE=<path>`.
+    // One exploration of the E1 fixture (3 processes through a
+    // deterministic O_{2,1}) with a heartbeat per expansion, then the phase
+    // and counter breakdown every exploration carries. Every exploration
+    // above accepts the same sinks via `MC_PROGRESS=1` / `MC_TRACE=<path>`.
     println!("\n── exploration telemetry (E1 fixture, 3 procs over O_{{2,1}}) ──\n");
     let mut b = SystemBuilder::new();
     let obj = b.add_object(GroupedObject::for_level(2, 1));
     let p: Arc<dyn Protocol> = Arc::new(ProposeDecide::new(obj));
     b.add_processes(p, (1..=3).map(Value::Int));
     let spec = b.build();
-    let rec = Recorder::new()
-        .with_timing()
-        .with_progress(1, |r| println!("   heartbeat: {r}"));
+    let rec = Recorder::new().with_progress(1, |r| println!("   heartbeat: {r}"));
     let g = StateGraph::explore_with(&spec, &ExploreOptions::default().with_por(true), &rec)?;
     println!("\n{}\n", g.metrics());
     println!(

@@ -37,7 +37,9 @@ MC_PROGRESS=1 MC_TRACE=/tmp/mc_trace.jsonl \
   MC_RUN_LOG=/tmp/mc_runs.jsonl MC_STATUS_FILE=/tmp/mc_status.json \
   cargo run --release -q --example impossibility_search >/tmp/mc_example.log
 cargo run --release -q --bin mc-report -- validate /tmp/mc_trace.jsonl
-cargo run --release -q --bin mc-report -- ledger /tmp/mc_runs.jsonl --last 1 >/dev/null \
+# Every ledger line the example wrote must parse and render, not just the
+# last one.
+cargo run --release -q --bin mc-report -- ledger /tmp/mc_runs.jsonl >/dev/null \
   || { echo "telemetry smoke: run ledger failed to parse" >&2; exit 1; }
 cargo run --release -q --bin mc-report -- tail /tmp/mc_status.json \
   || { echo "telemetry smoke: status file failed to parse" >&2; exit 1; }

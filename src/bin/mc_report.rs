@@ -205,31 +205,22 @@ fn render_metrics(metrics: &JsonValue) -> String {
             let _ = writeln!(out, "  truncation: none (complete)");
         }
     }
+    // Render whichever `*_ns` phases the line carries, so ledgers written
+    // under any phase schema stay readable.
     if let Some(phases) = metrics.get("phases") {
         let total = num(phases, "total_ns");
-        if total > 0.0 {
-            let _ = writeln!(out, "  phase breakdown (total {}):", ms(total));
-            for name in [
-                "expand_ns",
-                "canonicalize_ns",
-                "por_ns",
-                "dedup_ns",
-                "merge_ns",
-                "freeze_ns",
-                "reverse_csr_ns",
-                "other_ns",
-            ] {
-                let v = num(phases, name);
-                let _ = writeln!(
-                    out,
-                    "    {:<16} {:>12}  {:5.1}%",
-                    name.trim_end_matches("_ns"),
-                    ms(v),
-                    100.0 * v / total
-                );
-            }
-        } else {
-            let _ = writeln!(out, "  phase breakdown: untimed");
+        let _ = writeln!(out, "  phase breakdown (total {}):", ms(total));
+        for (key, v) in phases.as_object().unwrap_or_default() {
+            let Some(name) = key.strip_suffix("_ns").filter(|&n| n != "total") else {
+                continue;
+            };
+            let v = v.as_f64().unwrap_or(0.0);
+            let share = if total > 0.0 {
+                format!("{:5.1}%", 100.0 * v / total)
+            } else {
+                "    -".to_string()
+            };
+            let _ = writeln!(out, "    {name:<16} {:>12}  {share}", ms(v));
         }
     }
     if let Some(store) = metrics.get("store") {
@@ -528,4 +519,48 @@ fn diff_ledger(path_a: &str, text_a: &str, path_b: &str, text_b: &str) -> Result
     } else {
         ExitCode::FAILURE
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Renders one ledger line's phase breakdown.
+    fn phases_of(line: &str) -> String {
+        render_run(&JsonValue::parse(line).expect("ledger line parses"), 1)
+    }
+
+    #[test]
+    fn ledger_renders_every_phase_schema() {
+        // Written before per-level phases: per-successor slots, untimed.
+        let old = phases_of(
+            "{\"spec_hash\": \"00000000000000ff\", \"metrics\": {\"configs\": 4, \
+             \"timed\": false, \"phases\": {\"expand_ns\": 0, \"canonicalize_ns\": 0, \
+             \"por_ns\": 0, \"dedup_ns\": 0, \"merge_ns\": 0, \"freeze_ns\": 0, \
+             \"freeze_calls\": 0, \"reverse_csr_ns\": 0, \"reverse_csr_calls\": 0, \
+             \"other_ns\": 0, \"total_ns\": 0}}}",
+        );
+        for name in ["canonicalize", "dedup", "reverse_csr", "other"] {
+            assert!(
+                old.contains(&format!("    {name} ")),
+                "{name} missing:\n{old}"
+            );
+        }
+        assert!(old.contains("(total 0.00ms)"), "{old}");
+        // Written after: per-level phases, always on.
+        let new = phases_of(
+            "{\"spec_hash\": \"00000000000000ff\", \"metrics\": {\"configs\": 4, \
+             \"phases\": {\"setup_ns\": 1000000, \"store_ns\": 0, \
+             \"expand_ns\": 2000000, \"merge_ns\": 1000000, \"freeze_ns\": 0, \
+             \"freeze_calls\": 1, \"other_ns\": 0, \"total_ns\": 4000000}}}",
+        );
+        assert!(new.contains("(total 4.00ms)"), "{new}");
+        assert!(new.contains("    setup "), "{new}");
+        assert!(new.contains(" 50.0%"), "expand share:\n{new}");
+        assert!(!new.contains("canonicalize"), "{new}");
+        assert!(
+            !new.contains("freeze_calls"),
+            "counts are not phases:\n{new}"
+        );
+    }
 }

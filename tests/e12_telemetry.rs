@@ -1,16 +1,18 @@
-//! E12 (exploration telemetry): instrumentation must be invisible to the
-//! explorer — graphs are node-for-node identical with telemetry on vs off
+//! E12 (exploration telemetry): sinks must be invisible to the explorer —
+//! graphs and counters are identical with every sink installed vs none,
 //! across every store/reduction/thread combination — while the collected
-//! metrics are internally consistent (counters sum to node totals, phase
-//! times sum under the total), the trace/heartbeat sinks fire, and the DOT
-//! export is well-formed.
+//! metrics are internally consistent (counters sum to node totals, the
+//! always-on phase clocks sum under the total), the trace/heartbeat sinks
+//! fire, and the DOT export is well-formed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use subconsensus_core::GroupedObject;
 use subconsensus_modelcheck::{
-    ExploreOptions, Recorder, StateGraph, StoreBackend, TruncationCause, Valency,
+    ExploreGoal, ExploreMetrics, ExploreOptions, Recorder, StateGraph, StoreBackend,
+    TruncationCause, VerdictQuery,
 };
 use subconsensus_objects::Consensus;
 use subconsensus_protocols::ProposeDecide;
@@ -43,29 +45,132 @@ fn assert_identical(a: &StateGraph, b: &StateGraph, label: &str) {
 
 #[test]
 fn instrumented_graphs_identical_across_matrix() {
-    // Telemetry on (timers + per-level heartbeat) vs off, × symmetry ×
-    // POR × threads: the recorder is write-only from the explorer's view,
-    // so every combination must reproduce the plain graph node-for-node.
+    // Every sink on (every-expansion heartbeat, level trace, status file,
+    // run ledger) vs the default recorder, × symmetry × POR × threads: the
+    // recorder is write-only from the explorer's view, so every
+    // combination must reproduce the plain graph node-for-node and count
+    // exactly the same work.
+    let dir = std::env::temp_dir().join(format!("e12_matrix_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let spec = grouped_system(2, 1, 3, true);
     for symmetry in [false, true] {
         for por in [false, true] {
-            let base_opts = ExploreOptions::default()
-                .with_symmetry(symmetry)
-                .with_por(por);
-            let plain = StateGraph::explore(&spec, &base_opts).unwrap();
             for threads in [1usize, 4] {
-                let opts = base_opts.clone().with_threads(threads).with_metrics(true);
-                let rec = Recorder::new().with_timing().with_progress(1, |_| {});
+                let label = format!("sym={symmetry} por={por} threads={threads}");
+                let opts = ExploreOptions::default()
+                    .with_symmetry(symmetry)
+                    .with_por(por)
+                    .with_threads(threads);
+                let plain = StateGraph::explore_with(&spec, &opts, &Recorder::new()).unwrap();
+                let rec = Recorder::new()
+                    .with_progress(1, |_| {})
+                    .with_trace(dir.join("trace.jsonl"))
+                    .expect("create trace file")
+                    .with_status_file(dir.join("status.json"))
+                    .with_run_log(dir.join("runs.jsonl"));
                 let instrumented = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
-                assert_identical(
-                    &plain,
-                    &instrumented,
-                    &format!("sym={symmetry} por={por} threads={threads}"),
-                );
-                assert!(instrumented.metrics().timed);
+                assert_identical(&plain, &instrumented, &label);
+                let (a, b) = (plain.metrics(), instrumented.metrics());
+                let counters = |m: &ExploreMetrics| {
+                    (
+                        m.generated,
+                        m.dedup_hits,
+                        m.added,
+                        m.symmetry_hits,
+                        m.sleep_pruned,
+                        m.expansions,
+                        m.freeze_calls,
+                        m.levels.iter().map(|l| l.items).collect::<Vec<_>>(),
+                    )
+                };
+                assert_eq!(counters(a), counters(b), "{label}: counters");
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn phase_clocks_cover_every_configuration() {
+    // A plain `explore` — no recorder, no sinks — always carries its phase
+    // breakdown: the phases are disjoint spans of the explorer's thread,
+    // so they sum under the total at every thread count, store and
+    // reduction. Full-graph goals freeze once; verdict goals never do.
+    let fixtures = [
+        grouped_system(2, 1, 3, true),
+        grouped_system(2, 1, 4, false),
+    ];
+    let mut parallel_level = false;
+    for spec in &fixtures {
+        for symmetry in [false, true] {
+            for por in [false, true] {
+                for threads in [1usize, 2] {
+                    for store in [StoreBackend::Memory, StoreBackend::Disk] {
+                        let label = format!(
+                            "{} procs sym={symmetry} por={por} threads={threads} \
+                             store={store:?}",
+                            spec.nprocs()
+                        );
+                        let mut opts = ExploreOptions::default()
+                            .with_symmetry(symmetry)
+                            .with_por(por)
+                            .with_threads(threads)
+                            .with_store(store);
+                        if store == StoreBackend::Disk {
+                            opts = opts.with_store_budget(4 << 10);
+                        }
+                        let g = StateGraph::explore(spec, &opts).unwrap();
+                        let m = g.metrics();
+                        assert!(m.total_ns > 0, "{label}: total clocked");
+                        assert!(m.expand_ns > 0, "{label}: expansion clocked");
+                        assert!(
+                            m.phase_sum() <= m.total_ns,
+                            "{label}: phase sum {} exceeds total {}",
+                            m.phase_sum(),
+                            m.total_ns
+                        );
+                        assert_eq!(m.freeze_calls, 1, "{label}: full graph freezes once");
+                        parallel_level |= threads > 1 && m.levels.iter().any(|l| l.items >= 32);
+
+                        let verdict = opts.with_goal(ExploreGoal::Verdict(
+                            VerdictQuery::new().require_wait_freedom(),
+                        ));
+                        let v = StateGraph::explore(spec, &verdict).unwrap();
+                        let m = v.metrics();
+                        assert!(m.phase_sum() <= m.total_ns, "{label}: verdict phase sum");
+                        assert_eq!(
+                            (m.freeze_ns, m.freeze_calls),
+                            (0, 0),
+                            "{label}: verdict goal skips the freeze"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        parallel_level,
+        "no level reached the parallel expansion threshold"
+    );
+}
+
+#[test]
+fn total_counts_from_the_explore_call() {
+    // The total spans the explore call, not the recorder's lifetime: idle
+    // time between building a recorder and exploring is nobody's phase.
+    let spec = grouped_system(2, 1, 1, false);
+    let rec = Recorder::new();
+    std::thread::sleep(Duration::from_millis(50));
+    let g = StateGraph::explore_with(&spec, &ExploreOptions::default(), &rec).unwrap();
+    assert!(g.len() <= 10, "fixture stays tiny: {} configs", g.len());
+    let m = g.metrics();
+    assert!(m.total_ns > 0, "a plain recorder clocks the total");
+    assert!(
+        m.total_ns < 50_000_000,
+        "total {} ns includes the idle 50 ms before the explore call",
+        m.total_ns
+    );
+    assert!(m.phase_sum() <= m.total_ns);
 }
 
 #[test]
@@ -93,7 +198,7 @@ fn persistent_sinks_invisible_across_matrix() {
                     .with_symmetry(symmetry)
                     .with_por(por);
                 let plain = StateGraph::explore(&spec, &base_opts).unwrap();
-                let mut opts = base_opts.with_threads(threads).with_metrics(true);
+                let mut opts = base_opts.with_threads(threads);
                 if store == StoreBackend::Disk {
                     opts = opts
                         .with_store(StoreBackend::Disk)
@@ -170,8 +275,8 @@ fn run_record_written_only_when_log_installed() {
     let ledger = dir.join("runs.jsonl");
     let spec = grouped_system(2, 1, 3, true);
     let rec = Recorder::new().with_run_log(&ledger);
-    let opts = ExploreOptions::default().with_goal(subconsensus_modelcheck::ExploreGoal::Verdict(
-        subconsensus_modelcheck::VerdictQuery::new().require_wait_freedom(),
+    let opts = ExploreOptions::default().with_goal(ExploreGoal::Verdict(
+        VerdictQuery::new().require_wait_freedom(),
     ));
     StateGraph::explore_with(&spec, &opts, &rec).unwrap();
     let text = std::fs::read_to_string(&ledger).unwrap();
@@ -204,8 +309,7 @@ fn counters_sum_to_node_totals() {
         let spec = grouped_system(2, 1, 3, true);
         let opts = ExploreOptions::default()
             .with_symmetry(symmetry)
-            .with_por(por)
-            .with_metrics(true);
+            .with_por(por);
         let g = StateGraph::explore(&spec, &opts).unwrap();
         let m = g.metrics();
         let label = format!("sym={symmetry} por={por}");
@@ -245,14 +349,6 @@ fn counters_sum_to_node_totals() {
         assert_eq!(last.nodes_total, m.configs, "{label}: final nodes_total");
         assert_eq!(last.edges_total, m.edges, "{label}: final edges_total");
 
-        // Sequential run: phases are disjoint slices of the wall clock.
-        assert!(m.timed, "{label}");
-        assert!(
-            m.phase_sum() <= m.total_ns,
-            "{label}: phase sum {} exceeds total {}",
-            m.phase_sum(),
-            m.total_ns
-        );
         if symmetry {
             assert!(m.symmetry_hits > 0, "{label}: canonicalization hit");
         }
@@ -269,7 +365,7 @@ fn sleep_sets_prune_commuting_proposals() {
     let p: Arc<dyn Protocol> = Arc::new(ProposeDecide::new(obj));
     b.add_processes(p, (0..3).map(|_| Value::Int(7)));
     let spec = b.build();
-    let opts = ExploreOptions::default().with_por(true).with_metrics(true);
+    let opts = ExploreOptions::default().with_por(true);
     let g = StateGraph::explore(&spec, &opts).unwrap();
     let m = g.metrics();
     assert!(m.sleep_pruned > 0, "sleep sets pruned nothing: {m:?}");
@@ -281,11 +377,7 @@ fn sleep_sets_prune_commuting_proposals() {
 #[test]
 fn truncation_cause_recorded_and_counted() {
     let spec = grouped_system(2, 1, 3, false);
-    let g = StateGraph::explore(
-        &spec,
-        &ExploreOptions::with_max_configs(5).with_metrics(true),
-    )
-    .unwrap();
+    let g = StateGraph::explore(&spec, &ExploreOptions::with_max_configs(5)).unwrap();
     assert!(g.is_truncated());
     let m = g.metrics();
     assert_eq!(m.truncation, TruncationCause::MaxConfigs { cap: 5 });
@@ -323,10 +415,8 @@ fn disk_store_metrics_reported_and_consistent() {
         let opts = ExploreOptions::default()
             .with_threads(threads)
             .with_store(StoreBackend::Disk)
-            .with_store_budget(4 << 10)
-            .with_metrics(true);
-        let rec = Recorder::new().with_timing();
-        let g = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
+            .with_store_budget(4 << 10);
+        let g = StateGraph::explore(&spec, &opts).unwrap();
         let label = format!("disk x{threads} threads");
         assert_identical(&plain, &g, &label);
         let m = g.metrics();
@@ -348,8 +438,8 @@ fn disk_store_metrics_reported_and_consistent() {
             s.hot_hit_rate()
         );
         assert!(
-            s.spill_write_ns > 0,
-            "{label}: timed run clocks spill writes"
+            m.store_ns > 0,
+            "{label}: spill writes fall in the store phase"
         );
         let json = m.to_json();
         assert!(
@@ -370,8 +460,7 @@ fn memory_budget_truncation_recorded_and_counted() {
         &spec,
         &ExploreOptions::default()
             .with_store(StoreBackend::Memory)
-            .with_store_budget(2 << 10)
-            .with_metrics(true),
+            .with_store_budget(2 << 10),
     )
     .unwrap();
     assert!(g.is_truncated());
@@ -393,8 +482,7 @@ fn memory_budget_truncation_recorded_and_counted() {
         &spec,
         &ExploreOptions::default()
             .with_store(StoreBackend::Disk)
-            .with_store_budget(2 << 10)
-            .with_metrics(true),
+            .with_store_budget(2 << 10),
     )
     .unwrap();
     assert!(!full.is_truncated(), "disk backend lifts the budget bound");
@@ -507,20 +595,5 @@ fn dot_export_well_formed_on_e1_p3() {
         hi.lines().filter(|l| l.contains(" -> ")).count(),
         g.stats().edges,
         "highlighting adds no edges"
-    );
-}
-
-#[test]
-fn valency_pass_feeds_reverse_csr_phase() {
-    let spec = grouped_system(2, 1, 3, false);
-    let g = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
-    let rec = Recorder::new().with_timing();
-    let v = Valency::compute_with(&g, &rec);
-    assert!(v.is_bivalent(0) || v.is_univalent(0));
-    let m = rec.snapshot();
-    assert!(
-        m.reverse_csr_ns > 0,
-        "reverse-CSR build time recorded: {}",
-        m.reverse_csr_ns
     );
 }
