@@ -37,7 +37,7 @@ use subconsensus_modelcheck::{
     check_wait_freedom, ExploreGoal, ExploreOptions, StateGraph, StoreBackend, VerdictCause,
     VerdictQuery,
 };
-use subconsensus_sim::{InternerStats, StoreMetrics, SystemSpec};
+use subconsensus_sim::{git_revision, InternerStats, StoreMetrics, SystemSpec};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 const SAMPLE_SIZE: usize = 10;
@@ -147,17 +147,6 @@ fn verdict_facts(spec: &SystemSpec, opts: &ExploreOptions) -> VerdictFacts {
 /// the diagnostic path stays exercised.
 fn interner_stats_enabled() -> bool {
     subconsensus_sim::env_flag("INTERNER_STATS")
-}
-
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// `true` when the worktree (tracked files) differs from the recorded

@@ -52,8 +52,8 @@
 use std::time::Instant;
 
 use subconsensus_sim::{
-    git_revision, unix_time_ms, warn_once, Config, ExploreMetrics, InternerStats, PendingConfig,
-    Phase, Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner, StepFootprint,
+    env_store_budget, env_store_disk, warn_once, Config, ExploreMetrics, InternerStats,
+    PendingConfig, Phase, Pid, ProcStatus, Recorder, SimError, StateInterner, StepFootprint,
     SystemSpec, TruncationCause, Value,
 };
 
@@ -178,32 +178,26 @@ impl ExploreOptions {
     /// The store backend this exploration will actually run with: an
     /// explicit [`store`](Self::store) wins, [`StoreBackend::Auto`]
     /// defers to the `MC_STORE` env var (`"disk"` selects the disk
-    /// store, anything else the in-memory one).
+    /// store, anything else the in-memory one; read once per process).
     fn effective_store(&self) -> StoreBackend {
         match self.store {
-            StoreBackend::Auto => match std::env::var("MC_STORE") {
-                Ok(v) if v.trim().eq_ignore_ascii_case("disk") => StoreBackend::Disk,
-                _ => StoreBackend::Memory,
-            },
+            StoreBackend::Auto if env_store_disk() => StoreBackend::Disk,
+            StoreBackend::Auto => StoreBackend::Memory,
             explicit => explicit,
         }
     }
 
     /// The explicit hot-tier budget, if any: a set
     /// [`store_budget_bytes`](Self::store_budget_bytes) wins, `None`
-    /// defers to the `MC_STORE_BUDGET` env var.
+    /// defers to the `MC_STORE_BUDGET` env var (read once per process).
     fn effective_store_budget(&self) -> Option<usize> {
-        self.store_budget_bytes.or_else(|| {
-            std::env::var("MC_STORE_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
+        self.store_budget_bytes.or_else(env_store_budget)
     }
 
     /// The options as one JSON object with every env-deferred field
     /// *resolved* (`store` and `store_budget_bytes` record what the
     /// exploration actually ran with, not the `Auto`/`None`
-    /// placeholders) — the `options` payload of a run-ledger line.
+    /// placeholders) — the `options` payload of an event-log `start`.
     pub fn to_json(&self) -> String {
         let goal = match self.goal {
             ExploreGoal::FullGraph => "full_graph",
@@ -1497,9 +1491,9 @@ impl StateGraph {
     }
 
     /// [`explore`](Self::explore) with an explicit telemetry [`Recorder`]
-    /// (progress callbacks, trace, status and ledger sinks — see the
-    /// `Recorder` builders). The recorder is write-only from the
-    /// explorer's point of view, so the produced graph is node-for-node
+    /// (progress callback and event log — see the `Recorder` builders).
+    /// The recorder is write-only from the explorer's point of view, so
+    /// the produced graph is node-for-node
     /// identical to an uninstrumented exploration; the final snapshot is
     /// available as [`metrics`](Self::metrics) (and through
     /// [`Recorder::snapshot`] on `rec` itself).
@@ -1512,14 +1506,6 @@ impl StateGraph {
         opts: &ExploreOptions,
         rec: &Recorder,
     ) -> Result<Self, SimError> {
-        let t_start = Instant::now();
-        // Wall-clock start for the run ledger (the recorder's own clock is
-        // monotonic); read only when a ledger is installed.
-        let started_unix_ms = if rec.run_log().is_some() {
-            unix_time_ms()
-        } else {
-            0
-        };
         let mut opts = opts.clone();
         // Fast path: a system whose symmetry groups are all singletons has
         // an identity canonicalization, so requesting symmetry would only
@@ -1527,6 +1513,12 @@ impl StateGraph {
         // the flag once; everything downstream branches on the effective
         // value.
         opts.symmetry = opts.symmetry && !spec.symmetry_groups().is_trivial();
+        if rec.has_log() {
+            rec.log_start(spec.spec_fingerprint(), &opts.to_json());
+        }
+        // The start event's write (and the first one's git subprocess)
+        // belongs to no phase of the exploration.
+        let t_start = Instant::now();
         let init = if opts.symmetry {
             spec.canonicalize_config(spec.initial_config())
         } else {
@@ -1538,7 +1530,15 @@ impl StateGraph {
             rec.mark_store_active();
         }
         rec.lap(Phase::Setup, t_start);
-        let core = explore_core(&mut store, &opts, rec)?;
+        let core = explore_core(&mut store, &opts, rec).map_err(|e| {
+            // A failed run still closes its log entry.
+            if rec.has_log() {
+                let error = subconsensus_sim::json::json_escape(&e.to_string());
+                let outcome = format!("{{\"kind\": \"error\", \"error\": \"{error}\"}}");
+                rec.log_end(&outcome, &rec.snapshot());
+            }
+            e
+        })?;
         // Reconstitute before freezing (bit-identical to an in-memory
         // run: the arenas never left RAM and the rows come back in id
         // order); the spill drops here, removing its run directory.
@@ -1588,11 +1588,9 @@ impl StateGraph {
                 warn_truncated(opts.max_configs, graph.len());
             }
         }
-        // Persistent observability, strictly after the graph is complete so
-        // instrumented and uninstrumented runs stay node-for-node identical:
-        // the terminal status snapshot, then one ledger line.
-        rec.finalize_status(graph.len());
-        if rec.run_log().is_some() {
+        // The run's `end` event, strictly after the graph is complete so
+        // logged and log-free runs stay node-for-node identical.
+        if rec.has_log() {
             let outcome = match &graph.verdict {
                 Some(v) => format!("{{\"kind\": \"verdict\", \"verdict\": {}}}", v.to_json()),
                 None => format!(
@@ -1604,15 +1602,7 @@ impl StateGraph {
                     graph.truncated
                 ),
             };
-            rec.append_run_record(&RunRecord {
-                spec_hash: spec.spec_fingerprint(),
-                started_unix_ms,
-                ended_unix_ms: unix_time_ms(),
-                git_revision: git_revision().to_string(),
-                options_json: opts.to_json(),
-                outcome_json: outcome,
-                metrics_json: graph.metrics.to_json(),
-            });
+            rec.log_end(&outcome, &graph.metrics);
         }
         Ok(graph)
     }

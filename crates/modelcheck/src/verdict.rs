@@ -243,8 +243,8 @@ impl StreamingVerdict {
         &self.query
     }
 
-    /// The verdict as one JSON object — the `outcome` payload of a
-    /// run-ledger line (hand-formatted like every emitter here; the root
+    /// The verdict as one JSON object — the `outcome` payload of an
+    /// event-log `end` (hand-formatted like every emitter here; the root
     /// valence set is elided, its cardinality is what analyses consume).
     pub fn to_json(&self) -> String {
         use subconsensus_sim::json::json_escape;

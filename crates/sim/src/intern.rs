@@ -638,7 +638,7 @@ impl PendingConfig {
 /// Arena sizes, hit rates and memory footprint of a [`StateInterner`],
 /// reported after exploration (see the e9 bench's `INTERNER_STATS`
 /// summary).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InternerStats {
     /// Distinct object states interned.
     pub object_states: usize,

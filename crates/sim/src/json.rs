@@ -1,8 +1,8 @@
 //! Minimal std-only JSON support for the telemetry artifacts.
 //!
-//! Every machine-readable artifact this workspace emits — `MC_TRACE`
-//! level spans, `ExploreMetrics::to_json`, the `MC_RUN_LOG` ledger, the
-//! `MC_STATUS_FILE` snapshot, `BENCH_modelcheck.json` — is hand-formatted
+//! Every machine-readable artifact this workspace emits — the `MC_LOG`
+//! event log (start, level, heartbeat and end events),
+//! `ExploreMetrics::to_json`, `BENCH_modelcheck.json` — is hand-formatted
 //! (the build is offline; no serde). This module is the matching *reader*:
 //! a small recursive-descent parser used by the `mc-report` CLI and by the
 //! round-trip tests that keep every hand-built emitter honest.

@@ -103,8 +103,8 @@ pub use implementation::{ImplStep, Implementation};
 pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner};
 pub use linearize::{check_linearizable, is_linearizable, LinearizeError, MAX_OPS};
 pub use metrics::{
-    env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LevelMetrics,
-    Phase, ProgressReport, Recorder, RunRecord, StoreMetrics, TruncationCause,
+    env_flag, env_store_budget, env_store_disk, git_revision, warn_once, ExploreMetrics,
+    LevelMetrics, Phase, ProgressReport, Recorder, StoreMetrics, TruncationCause,
     DEFAULT_PROGRESS_EVERY,
 };
 pub use object::{audit_determinism, DeterminismViolation, ObjectSpec, Outcome};

@@ -1,4 +1,4 @@
-//! Exploration telemetry: phase clocks, counters, heartbeats, trace export.
+//! Exploration telemetry: phase clocks, counters, heartbeats, event log.
 //!
 //! The model checker composes four optimizations (parallel BFS, symmetry
 //! quotient, POR sleep sets, hash-consed stores) and without telemetry is a
@@ -15,13 +15,14 @@
 //! * a progress **heartbeat**: an optional callback (or the `MC_PROGRESS`
 //!   env default, printing to stderr) fired every N expansions so long
 //!   runs are not silent, carrying recent-rate and ETA estimates;
-//! * a `MC_TRACE=<path>` JSONL span log, one record per BFS level;
-//! * a `MC_STATUS_FILE=<path>` live status snapshot: one JSON object,
-//!   atomically rewritten (write-temp-then-rename) on every heartbeat, so
-//!   external pollers can watch a multi-hour run without its stderr;
-//! * a `MC_RUN_LOG=<path>` **run ledger**: one [`RunRecord`] JSONL line
-//!   appended at the end of every exploration — spec hash, options, env,
-//!   git revision, wall times, outcome and the full metrics snapshot.
+//! * one append-only JSONL **event log** (`MC_LOG=<path>` or
+//!   [`Recorder::with_log`]): per exploration a `start` (spec hash, git
+//!   revision, resolved options, `MC_*` env), a `level` per BFS level, a
+//!   `heartbeat` per interval and an `end` (outcome, full metrics), each
+//!   tagged `"event"` and `"run"` (`<pid>.<per-process sequence>`). Each
+//!   event is one `write_all` of one whole line to a file opened once per
+//!   recorder in append mode, so concurrent processes interleave whole
+//!   lines and a search keeps every one of its explorations.
 //!
 //! # Always on, never per successor
 //!
@@ -43,7 +44,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant, SystemTime};
 use crate::json::json_escape;
 
 /// Unified truthiness test for diagnostic environment variables
-/// (`MC_PROGRESS`, `MC_TRACE` presence checks, `INTERNER_STATS`,
+/// (`MC_PROGRESS`, `MC_LOG` presence checks, `INTERNER_STATS`,
 /// `BENCH_SMOKE`): set, non-empty, and not `"0"`.
 pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
@@ -80,9 +81,9 @@ pub fn warn_once(key: &str, message: &str) -> bool {
 }
 
 /// Milliseconds since the Unix epoch (0 if the system clock is before
-/// it). Wall-clock stamps for the run ledger and status file; exploration
-/// logic itself only ever uses monotonic [`Instant`]s.
-pub fn unix_time_ms() -> u64 {
+/// it). Wall-clock stamps for the event log; exploration logic itself
+/// only ever uses monotonic [`Instant`]s.
+fn unix_time_ms() -> u64 {
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -90,8 +91,9 @@ pub fn unix_time_ms() -> u64 {
 }
 
 /// The working tree's short git revision, resolved once per process (the
-/// first ledger append pays the subprocess; everything after reads the
-/// cache). `"unknown"` outside a git checkout or without a `git` binary.
+/// first caller — a `start` event or the e9 bench — pays the subprocess;
+/// everything after reads the cache). `"unknown"` outside a git checkout
+/// or without a `git` binary.
 pub fn git_revision() -> &'static str {
     static REV: OnceLock<String> = OnceLock::new();
     REV.get_or_init(|| {
@@ -108,11 +110,11 @@ pub fn git_revision() -> &'static str {
 }
 
 /// Snapshot of every `MC_*` environment variable currently set, as one
-/// JSON object with sorted keys. Captured into each [`RunRecord`] so a
-/// ledger line is interpretable without knowing what the shell looked
-/// like: `MC_STORE`, `MC_STORE_BUDGET` and friends all shape
-/// the run but live outside [`ExploreMetrics`].
-pub fn mc_env_json() -> String {
+/// JSON object with sorted keys. Captured into each `start` event so a
+/// run is interpretable without knowing what the shell looked like:
+/// `MC_STORE`, `MC_STORE_BUDGET` and friends all shape the run but live
+/// outside [`ExploreMetrics`].
+fn mc_env_json() -> String {
     let mut vars: Vec<(String, String)> = std::env::vars()
         .filter(|(k, _)| k.starts_with("MC_"))
         .collect();
@@ -122,57 +124,6 @@ pub fn mc_env_json() -> String {
         .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
         .collect();
     format!("{{{}}}", members.join(", "))
-}
-
-/// One durable record of a finished exploration — the unit of the
-/// `MC_RUN_LOG` ledger ([`Recorder::append_run_record`] writes one JSONL
-/// line per run). The explorer builds it *after* the graph is complete,
-/// so ledger-enabled and ledger-free runs explore identical graphs; the
-/// spec hash is the cache key the ROADMAP's checking-as-a-service queue
-/// will dedup verdict requests on.
-#[derive(Clone, Debug)]
-pub struct RunRecord {
-    /// Canonical content fingerprint of the explored system
-    /// ([`SystemSpec::spec_fingerprint`](crate::SystemSpec::spec_fingerprint)).
-    pub spec_hash: u64,
-    /// Wall-clock start of the exploration, Unix milliseconds (passed in
-    /// by the caller — the recorder only knows monotonic time).
-    pub started_unix_ms: u64,
-    /// Wall-clock end of the exploration, Unix milliseconds.
-    pub ended_unix_ms: u64,
-    /// Short git revision of the binary's working tree ([`git_revision`]).
-    pub git_revision: String,
-    /// The effective `ExploreOptions` as one JSON object (env-resolved
-    /// store/budget included), pre-rendered by the caller.
-    pub options_json: String,
-    /// What the run produced, as one JSON object: graph facts
-    /// (`{"kind": "graph", ...}`) or a streaming verdict
-    /// (`{"kind": "verdict", ...}`).
-    pub outcome_json: String,
-    /// The complete [`ExploreMetrics::to_json`] payload (phases, levels,
-    /// store, truncation).
-    pub metrics_json: String,
-}
-
-impl RunRecord {
-    /// The record as one JSON object (one ledger line, no trailing
-    /// newline). The spec hash is a fixed-width hex *string*: JSON numbers
-    /// are f64 and would corrupt 64-bit fingerprints.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"spec_hash\": \"{:016x}\", \"started_unix_ms\": {}, \
-             \"ended_unix_ms\": {}, \"git_revision\": \"{}\", \
-             \"env\": {}, \"options\": {}, \"outcome\": {}, \"metrics\": {}}}",
-            self.spec_hash,
-            self.started_unix_ms,
-            self.ended_unix_ms,
-            json_escape(&self.git_revision),
-            mc_env_json(),
-            self.options_json,
-            self.outcome_json,
-            self.metrics_json
-        )
-    }
 }
 
 /// A wall-clock phase of one exploration, accumulated by
@@ -275,8 +226,8 @@ impl StoreMetrics {
     }
 }
 
-/// Per-BFS-level frontier metrics, one record per level (also the schema of
-/// the `MC_TRACE` JSONL lines).
+/// Per-BFS-level frontier metrics, one record per level (also the payload
+/// of the event log's `level` events).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LevelMetrics {
     /// BFS depth of this level (0 = the root's expansion).
@@ -295,8 +246,8 @@ pub struct LevelMetrics {
 }
 
 impl LevelMetrics {
-    /// The level record as one flat JSON object (the `MC_TRACE` line
-    /// schema and the members of [`ExploreMetrics::to_json`]'s `levels`).
+    /// The level record as one flat JSON object (the `level` event's
+    /// payload and the members of [`ExploreMetrics::to_json`]'s `levels`).
     pub fn to_json(self) -> String {
         format!(
             "{{\"level\": {}, \"items\": {}, \"new_nodes\": {}, \"nodes\": {}, \
@@ -350,6 +301,35 @@ pub struct ProgressReport {
     pub eta_secs: Option<f64>,
     /// Bytes spilled to disk so far (0 unless the run uses the disk store).
     pub spilled_bytes: u64,
+}
+
+impl ProgressReport {
+    /// The report as one flat JSON object (the `heartbeat` event's
+    /// payload); unknown estimates are `null`.
+    pub fn to_json(&self) -> String {
+        let opt_u64 = |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
+        let opt_f64 = |v: Option<f64>| v.map_or("null".to_string(), crate::json::json_f64);
+        format!(
+            "{{\"level\": {}, \"explored\": {}, \"frontier\": {}, \"generated\": {}, \
+             \"dedup_hits\": {}, \"expansions\": {}, \"elapsed_ns\": {}, \
+             \"configs_per_sec\": {}, \"recent_configs_per_sec\": {}, \
+             \"bound_remaining\": {}, \"est_remaining\": {}, \"eta_secs\": {}, \
+             \"spilled_bytes\": {}}}",
+            self.level,
+            self.explored,
+            self.frontier,
+            self.generated,
+            self.dedup_hits,
+            self.expansions,
+            self.elapsed.as_nanos() as u64,
+            crate::json::json_f64(self.configs_per_sec),
+            crate::json::json_f64(self.recent_configs_per_sec),
+            self.bound_remaining,
+            opt_u64(self.est_remaining),
+            opt_f64(self.eta_secs),
+            self.spilled_bytes
+        )
+    }
 }
 
 impl fmt::Display for ProgressReport {
@@ -575,7 +555,7 @@ impl fmt::Display for ExploreMetrics {
 type ProgressCallback = Box<dyn Fn(&ProgressReport) + Send + Sync>;
 
 /// The shared heartbeat machinery: one expansion-count gate drives every
-/// per-interval consumer (the progress callback and the status file), so
+/// per-interval consumer (the progress callback and the event log), so
 /// they observe the same [`ProgressReport`]s and the same rate state.
 struct Heartbeat {
     every: u64,
@@ -588,7 +568,6 @@ struct Heartbeat {
     /// Elapsed nanos at the last heartbeat (recent-rate denominator).
     last_elapsed_ns: AtomicU64,
     callback: Option<ProgressCallback>,
-    status: Option<StatusSink>,
 }
 
 impl Heartbeat {
@@ -600,32 +579,41 @@ impl Heartbeat {
             last_frontier: AtomicU64::new(0),
             last_elapsed_ns: AtomicU64::new(0),
             callback: None,
-            status: None,
         }
     }
 }
 
-/// The `MC_STATUS_FILE` sink: one JSON object, atomically rewritten per
-/// heartbeat (write a sibling temp file, then rename over the target, so
-/// a poller never reads a torn write).
-struct StatusSink {
+/// Numbers the runs of this process (the second half of a run id).
+static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The event-log sink: the file, opened once in append mode, and the run
+/// id of the exploration currently writing to it.
+struct EventLog {
     path: PathBuf,
-    started_unix_ms: u64,
+    file: File,
+    /// This process's sequence number of the current run, assigned by
+    /// [`Recorder::log_start`].
+    seq: AtomicU64,
 }
 
-impl StatusSink {
-    fn write(&self, report: &ProgressReport, state: &str) {
-        let json = status_json(report, state, self.started_unix_ms);
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        let res = std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, &self.path));
-        if let Err(e) = res {
+impl EventLog {
+    /// Appends one event: `{"event": kind, "run": id, <payload members>}`
+    /// plus a newline, in a single `write_all` on an `O_APPEND` file, so
+    /// concurrent writers interleave whole lines. `payload` is a non-empty
+    /// JSON object. A failed write warns once and never fails the run.
+    fn emit(&self, kind: &str, payload: &str) {
+        let line = format!(
+            "{{\"event\": \"{kind}\", \"run\": \"{}.{}\", {}\n",
+            std::process::id(),
+            self.seq.load(Ordering::Relaxed),
+            &payload[1..]
+        );
+        if let Err(e) = (&self.file).write_all(line.as_bytes()) {
             warn_once(
-                "status_file",
+                "event_log_write",
                 &format!(
-                    "modelcheck: WARNING: MC_STATUS_FILE: cannot write {}: {e} \
-                     (status updates disabled messages suppressed for this process)",
+                    "modelcheck: WARNING: MC_LOG: cannot append to {}: {e} \
+                     (further write failures suppressed for this process)",
                     self.path.display()
                 ),
             );
@@ -633,50 +621,19 @@ impl StatusSink {
     }
 }
 
-/// The status-file schema: the full [`ProgressReport`] plus run identity
-/// (`state` is `"running"` per heartbeat, `"done"` once at the end).
-fn status_json(r: &ProgressReport, state: &str, started_unix_ms: u64) -> String {
-    let opt_u64 = |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
-    let opt_f64 = |v: Option<f64>| v.map_or("null".to_string(), crate::json::json_f64);
-    format!(
-        "{{\"state\": \"{}\", \"pid\": {}, \"started_unix_ms\": {}, \
-         \"updated_unix_ms\": {}, \"level\": {}, \"explored\": {}, \
-         \"frontier\": {}, \"generated\": {}, \"dedup_hits\": {}, \
-         \"expansions\": {}, \"elapsed_ns\": {}, \"configs_per_sec\": {}, \
-         \"recent_configs_per_sec\": {}, \"bound_remaining\": {}, \
-         \"est_remaining\": {}, \"eta_secs\": {}, \"spilled_bytes\": {}}}",
-        json_escape(state),
-        std::process::id(),
-        started_unix_ms,
-        unix_time_ms(),
-        r.level,
-        r.explored,
-        r.frontier,
-        r.generated,
-        r.dedup_hits,
-        r.expansions,
-        r.elapsed.as_nanos() as u64,
-        crate::json::json_f64(r.configs_per_sec),
-        crate::json::json_f64(r.recent_configs_per_sec),
-        r.bound_remaining,
-        opt_u64(r.est_remaining),
-        opt_f64(r.eta_secs),
-        r.spilled_bytes
-    )
-}
-
-/// Telemetry configuration resolved from the environment, once per process
-/// (env vars are process-level configuration; per-explore toggling uses the
-/// explicit [`Recorder`] builders instead).
-struct EnvTelemetry {
+/// Configuration resolved from the environment once per process: a search
+/// runs tens of thousands of explorations and must not pay `std::env::var`
+/// per call. The explicit [`Recorder`] builders and `ExploreOptions`
+/// fields win over these.
+struct EnvConfig {
     progress_every: Option<u64>,
-    trace_path: Option<PathBuf>,
-    status_path: Option<PathBuf>,
-    run_log_path: Option<PathBuf>,
+    log_path: Option<PathBuf>,
+    store_disk: bool,
+    store_budget: Option<usize>,
 }
 
-fn env_telemetry() -> &'static EnvTelemetry {
-    static ENV: OnceLock<EnvTelemetry> = OnceLock::new();
+fn env_config() -> &'static EnvConfig {
+    static ENV: OnceLock<EnvConfig> = OnceLock::new();
     ENV.get_or_init(|| {
         let progress_every = if env_flag("MC_PROGRESS") {
             // A numeric value > 1 is the heartbeat interval; any other
@@ -690,24 +647,33 @@ fn env_telemetry() -> &'static EnvTelemetry {
         } else {
             None
         };
-        let env_path = |name: &str| {
-            std::env::var_os(name)
-                .filter(|v| !v.is_empty() && v != "0")
-                .map(PathBuf::from)
-        };
-        let trace_path = env_path("MC_TRACE");
-        let status_path = env_path("MC_STATUS_FILE");
-        // The ledger path: MC_RUN_LOG wins; with only MC_STORE_DIR set the
-        // ledger lands next to the spill directories as `runs.jsonl`.
-        let run_log_path = env_path("MC_RUN_LOG")
-            .or_else(|| env_path("MC_STORE_DIR").map(|d| d.join("runs.jsonl")));
-        EnvTelemetry {
+        let log_path = std::env::var_os("MC_LOG")
+            .filter(|v| !v.is_empty() && v != "0")
+            .map(PathBuf::from);
+        let store_disk =
+            std::env::var("MC_STORE").is_ok_and(|v| v.trim().eq_ignore_ascii_case("disk"));
+        let store_budget = std::env::var("MC_STORE_BUDGET")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok());
+        EnvConfig {
             progress_every,
-            trace_path,
-            status_path,
-            run_log_path,
+            log_path,
+            store_disk,
+            store_budget,
         }
     })
+}
+
+/// Whether `MC_STORE=disk` selects the disk store for explorations that
+/// leave the backend to the environment (read once per process).
+pub fn env_store_disk() -> bool {
+    env_config().store_disk
+}
+
+/// The `MC_STORE_BUDGET` hot-tier byte budget, if set to a number (read
+/// once per process).
+pub fn env_store_budget() -> Option<usize> {
+    env_config().store_budget
 }
 
 /// The telemetry sink one exploration writes into.
@@ -745,11 +711,7 @@ pub struct Recorder {
     store_hot_misses: AtomicU64,
     levels: Mutex<Vec<LevelMetrics>>,
     heartbeat: Option<Heartbeat>,
-    trace: Option<Mutex<BufWriter<File>>>,
-    /// Ledger path: one [`RunRecord`] JSONL line appended per exploration
-    /// (the explorer calls [`append_run_record`](Self::append_run_record)
-    /// after the graph is built, never during it).
-    run_log: Option<PathBuf>,
+    log: Option<EventLog>,
     start: Instant,
 }
 
@@ -757,12 +719,7 @@ impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Recorder")
             .field("progress", &self.heartbeat.as_ref().map(|p| p.every))
-            .field(
-                "status",
-                &self.heartbeat.as_ref().is_some_and(|h| h.status.is_some()),
-            )
-            .field("trace", &self.trace.is_some())
-            .field("run_log", &self.run_log)
+            .field("log", &self.log.as_ref().map(|l| &l.path))
             .finish_non_exhaustive()
     }
 }
@@ -775,7 +732,7 @@ impl Default for Recorder {
 
 impl Recorder {
     /// A recorder with no sinks: counters and phase clocks only, no
-    /// heartbeat, no trace, no ledger.
+    /// heartbeat, no event log.
     pub fn new() -> Self {
         Recorder {
             phase_ns: Default::default(),
@@ -798,46 +755,22 @@ impl Recorder {
             store_hot_misses: AtomicU64::new(0),
             levels: Mutex::new(Vec::new()),
             heartbeat: None,
-            trace: None,
-            run_log: None,
+            log: None,
             start: Instant::now(),
         }
     }
 
-    /// A recorder honoring the `MC_PROGRESS` / `MC_TRACE` /
-    /// `MC_STATUS_FILE` / `MC_RUN_LOG` environment (read once per
-    /// process): heartbeat to stderr, JSONL trace to the given path
-    /// (truncated per exploration), atomically-rewritten status snapshot,
-    /// and the run ledger (`MC_RUN_LOG`, or `runs.jsonl` under
-    /// `MC_STORE_DIR` when only that is set).
+    /// A recorder honoring the `MC_PROGRESS` / `MC_LOG` environment (read
+    /// once per process): heartbeat to stderr, and the event log appended
+    /// to the given path.
     pub fn from_env() -> Self {
-        let env = env_telemetry();
+        let env = env_config();
         let mut rec = Recorder::new();
         if let Some(every) = env.progress_every {
             rec = rec.with_stderr_progress(every);
         }
-        if let Some(path) = &env.trace_path {
-            // A bad trace path degrades to a warning, not a failed explore.
-            match File::create(path) {
-                Ok(f) => rec.trace = Some(Mutex::new(BufWriter::new(f))),
-                Err(e) => {
-                    warn_once(
-                        "trace_open",
-                        &format!(
-                            "modelcheck: WARNING: MC_TRACE: cannot open {}: {e} \
-                             (trace disabled; further open failures suppressed \
-                             for this process)",
-                            path.display()
-                        ),
-                    );
-                }
-            }
-        }
-        if let Some(path) = &env.status_path {
-            rec = rec.with_status_file(path);
-        }
-        if let Some(path) = &env.run_log_path {
-            rec = rec.with_run_log(path);
+        if let Some(path) = &env.log_path {
+            rec = rec.with_log(path);
         }
         rec
     }
@@ -860,73 +793,75 @@ impl Recorder {
         self.with_progress(every, |r| eprintln!("modelcheck: {r}"))
     }
 
-    /// Installs the `MC_STATUS_FILE` sink: on every heartbeat interval the
-    /// full [`ProgressReport`] is rewritten to `path` as one JSON object,
-    /// via a sibling temp file and an atomic rename (a poller never sees a
-    /// torn write). Shares the interval gate with
-    /// [`with_progress`](Self::with_progress) (default
-    /// [`DEFAULT_PROGRESS_EVERY`] when no progress callback set one).
-    /// Write failures degrade to a one-shot warning.
-    pub fn with_status_file<P: AsRef<Path>>(mut self, path: P) -> Self {
-        let hb = self.heartbeat.get_or_insert_with(Heartbeat::new);
-        hb.status = Some(StatusSink {
-            path: path.as_ref().to_path_buf(),
-            started_unix_ms: unix_time_ms(),
-        });
-        self
-    }
-
-    /// Installs the run-ledger path: the explorer appends one
-    /// [`RunRecord`] JSONL line per finished exploration (see
-    /// [`append_run_record`](Self::append_run_record)). Append-only and
-    /// written only after the graph is complete, so the explored graph is
-    /// identical with or without a ledger.
-    pub fn with_run_log<P: AsRef<Path>>(mut self, path: P) -> Self {
-        self.run_log = Some(path.as_ref().to_path_buf());
-        self
-    }
-
-    /// The installed run-ledger path, if any (the explorer checks this to
-    /// skip building a [`RunRecord`] entirely on ledger-free runs).
-    pub fn run_log(&self) -> Option<&Path> {
-        self.run_log.as_deref()
-    }
-
-    /// Appends one ledger line to the run log (no-op without
-    /// [`with_run_log`](Self::with_run_log)). The file is opened in
-    /// append mode per record: concurrent processes interleave whole
-    /// lines, never partial ones, for line-sized writes on POSIX
-    /// filesystems. Failures degrade to a one-shot warning — a broken
-    /// ledger never fails an exploration.
-    pub fn append_run_record(&self, record: &RunRecord) {
-        let Some(path) = &self.run_log else { return };
-        let res = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| writeln!(f, "{}", record.to_json()));
-        if let Err(e) = res {
-            warn_once(
-                "run_log",
+    /// Appends this recorder's events to the JSONL log at `path` (see the
+    /// module docs for the schema). The file is opened here, once, in
+    /// append mode. Heartbeat events share the interval gate with
+    /// [`with_progress`](Self::with_progress), at
+    /// [`DEFAULT_PROGRESS_EVERY`] when no progress callback set one. The
+    /// log is write-only, so the explored graph is identical with or
+    /// without it; an unopenable path degrades to a one-shot warning.
+    pub fn with_log<P: AsRef<Path>>(mut self, path: P) -> Self {
+        let path = path.as_ref().to_path_buf();
+        match OpenOptions::new().create(true).append(true).open(&path) {
+            Ok(file) => {
+                self.heartbeat.get_or_insert_with(Heartbeat::new);
+                let seq = AtomicU64::new(0);
+                self.log = Some(EventLog { path, file, seq });
+            }
+            Err(e) => drop(warn_once(
+                "event_log_open",
                 &format!(
-                    "modelcheck: WARNING: MC_RUN_LOG: cannot append to {}: {e} \
-                     (run ledger disabled; further append failures suppressed \
-                     for this process)",
+                    "modelcheck: WARNING: MC_LOG: cannot open {}: {e} (event log \
+                     disabled; further open failures suppressed for this process)",
                     path.display()
                 ),
-            );
+            )),
         }
+        self
     }
 
-    /// Streams one JSONL record per BFS level to `path` (truncating any
-    /// previous file).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the file cannot be created.
-    pub fn with_trace<P: AsRef<Path>>(mut self, path: P) -> std::io::Result<Self> {
-        self.trace = Some(Mutex::new(BufWriter::new(File::create(path)?)));
-        Ok(self)
+    /// Whether an event log is installed. The explorer checks this once
+    /// before building a `start` or `end` payload, so log-free runs pay
+    /// nothing for them.
+    pub fn has_log(&self) -> bool {
+        self.log.is_some()
+    }
+
+    /// Opens a run in the event log (no-op without one): assigns the run
+    /// id and writes the `start` event with the spec hash (a 16-hex-digit
+    /// string — JSON numbers are f64 and would corrupt 64-bit
+    /// fingerprints), git revision, the resolved options as one JSON
+    /// object, the `MC_*` env snapshot and the wall-clock start.
+    pub fn log_start(&self, spec_hash: u64, options_json: &str) {
+        let Some(log) = &self.log else { return };
+        log.seq
+            .store(RUN_SEQ.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+        log.emit(
+            "start",
+            &format!(
+                "{{\"spec_hash\": \"{spec_hash:016x}\", \"git_revision\": \"{}\", \
+                 \"options\": {options_json}, \"env\": {}, \"started_unix_ms\": {}}}",
+                json_escape(git_revision()),
+                mc_env_json(),
+                unix_time_ms()
+            ),
+        );
+    }
+
+    /// Closes the run in the event log (no-op without one): the `end`
+    /// event with the outcome (one JSON object: graph facts or a
+    /// streaming verdict), the full [`ExploreMetrics::to_json`] payload
+    /// and the wall-clock end.
+    pub fn log_end(&self, outcome_json: &str, metrics: &ExploreMetrics) {
+        let Some(log) = &self.log else { return };
+        log.emit(
+            "end",
+            &format!(
+                "{{\"outcome\": {outcome_json}, \"metrics\": {}, \"ended_unix_ms\": {}}}",
+                metrics.to_json(),
+                unix_time_ms()
+            ),
+        );
     }
 
     /// Adds the wall time since `since` to `phase` and returns the clock
@@ -1029,7 +964,7 @@ impl Recorder {
     }
 
     /// Records one finished BFS level (always on — once per level) and
-    /// streams its trace record if a trace sink is installed.
+    /// appends its `level` event if an event log is installed.
     pub fn record_level(
         &self,
         items: usize,
@@ -1049,11 +984,8 @@ impl Recorder {
         };
         levels.push(rec);
         drop(levels);
-        if let Some(trace) = &self.trace {
-            let mut w = trace.lock().expect("trace lock");
-            // Flush per line so a killed run still leaves parseable spans.
-            let _ = writeln!(w, "{}", rec.to_json());
-            let _ = w.flush();
+        if let Some(log) = &self.log {
+            log.emit("level", &rec.to_json());
         }
     }
 
@@ -1082,8 +1014,8 @@ impl Recorder {
         if let Some(callback) = &hb.callback {
             callback(&report);
         }
-        if let Some(status) = &hb.status {
-            status.write(&report, "running");
+        if let Some(log) = &self.log {
+            log.emit("heartbeat", &report.to_json());
         }
     }
 
@@ -1148,38 +1080,6 @@ impl Recorder {
             eta_secs,
             spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Writes the terminal `"done"` snapshot to the status file (no-op
-    /// without a [`with_status_file`](Self::with_status_file) sink). The
-    /// explorer calls this once per exploration after the graph is
-    /// complete, so a poller always observes a final state even when the
-    /// run ended between heartbeat intervals.
-    pub fn finalize_status(&self, explored: usize) {
-        let Some(hb) = &self.heartbeat else { return };
-        let Some(status) = &hb.status else { return };
-        let elapsed = self.start.elapsed();
-        let secs = elapsed.as_secs_f64();
-        let report = ProgressReport {
-            level: self.levels.lock().expect("levels lock").len() as u32,
-            explored,
-            frontier: 0,
-            generated: self.generated.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            expansions: self.expansions.load(Ordering::Relaxed),
-            elapsed,
-            configs_per_sec: if secs > 0.0 {
-                explored as f64 / secs
-            } else {
-                0.0
-            },
-            recent_configs_per_sec: 0.0,
-            bound_remaining: 0,
-            est_remaining: Some(0),
-            eta_secs: Some(0.0),
-            spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-        };
-        status.write(&report, "done");
     }
 
     /// Snapshots the recorder into an [`ExploreMetrics`]. The graph-shape

@@ -522,7 +522,7 @@ impl SystemSpec {
     }
 
     /// Canonical content fingerprint of this system, stable across
-    /// processes and runs of the same binary: the run-ledger key under
+    /// processes and runs of the same binary: the event log's key under
     /// which a future checking-as-a-service queue can cache verdicts
     /// (`std`'s `DefaultHasher` uses fixed SipHash keys, so equal specs
     /// hash equally everywhere).
@@ -533,7 +533,7 @@ impl SystemSpec {
     /// process state). Protocol *code* is not hashable through `dyn
     /// Protocol`, so two systems differing only in unexecuted protocol
     /// logic collide; for cache keying, pair the hash with the binary's
-    /// git revision (the run ledger records both).
+    /// git revision (the event log's `start` records both).
     pub fn spec_fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};

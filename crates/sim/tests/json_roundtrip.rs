@@ -1,16 +1,18 @@
 //! Round-trip tests for every hand-built JSON emitter in the crate.
 //!
-//! The workspace has no serde: `ExploreMetrics`, its component snapshots,
-//! the run-ledger `RunRecord`, and the `MC_STATUS_FILE` snapshot are all
-//! formatted by hand. Each emitter here is fed through the in-tree
+//! The workspace has no serde: `ExploreMetrics`, its component snapshots
+//! and the four event types of the `MC_LOG` event log are all formatted by
+//! hand. Each emitter here is fed through the in-tree
 //! [`subconsensus_sim::json`] parser — the same one `mc-report` uses — so
 //! a malformed escape, a missing comma, or a field rename that would break
 //! downstream tooling fails in-tree first.
 
+use std::path::Path;
+use std::time::Duration;
+
 use subconsensus_sim::json::JsonValue;
 use subconsensus_sim::{
-    warn_once, ExploreMetrics, InternerStats, LevelMetrics, Recorder, RunRecord, StoreMetrics,
-    TruncationCause,
+    warn_once, ExploreMetrics, InternerStats, LevelMetrics, Recorder, StoreMetrics, TruncationCause,
 };
 
 fn parse(json: &str) -> JsonValue {
@@ -21,25 +23,6 @@ fn u(v: &JsonValue, key: &str) -> u64 {
     v.get(key)
         .and_then(JsonValue::as_u64)
         .unwrap_or_else(|| panic!("missing integer key {key:?}"))
-}
-
-#[test]
-fn level_metrics_round_trip() {
-    let level = LevelMetrics {
-        level: 3,
-        items: 10,
-        new_nodes: 7,
-        nodes_total: 42,
-        edges_total: 99,
-        elapsed_ns: 123_456,
-    };
-    let v = parse(&level.to_json());
-    assert_eq!(u(&v, "level"), 3);
-    assert_eq!(u(&v, "items"), 10);
-    assert_eq!(u(&v, "new_nodes"), 7);
-    assert_eq!(u(&v, "nodes"), 42);
-    assert_eq!(u(&v, "edges"), 99);
-    assert_eq!(u(&v, "elapsed_ns"), 123_456);
 }
 
 #[test]
@@ -171,95 +154,138 @@ fn explore_metrics_null_branches() {
     assert_eq!(u(trunc, "budget"), 4096);
 }
 
+/// Every line of the log, parsed, with the shared tags checked on each:
+/// an `event` name and a `<pid>.<seq>` run id.
+fn read_log(path: &Path) -> Vec<JsonValue> {
+    let text = std::fs::read_to_string(path).unwrap();
+    assert!(text.ends_with('\n'), "every event is a whole line");
+    text.lines()
+        .map(|line| {
+            let v = parse(line);
+            assert!(v.get("event").and_then(JsonValue::as_str).is_some());
+            let run = v.get("run").and_then(JsonValue::as_str).unwrap();
+            let (pid, seq) = run.split_once('.').expect("run is <pid>.<seq>");
+            assert_eq!(pid, std::process::id().to_string());
+            seq.parse::<u64>().expect("numeric sequence");
+            v
+        })
+        .collect()
+}
+
+/// One recorder writing one event of each type, in run order.
+fn write_every_event(path: &Path) {
+    let rec = Recorder::new().with_progress(1, |_| {}).with_log(path);
+    assert!(rec.has_log());
+    rec.log_start(0x0123_4567_89ab_cdef, "{\"threads\": 4}");
+    rec.record_level(1, 2, 3, 4, Duration::from_nanos(5));
+    rec.count_expansions(1);
+    rec.heartbeat(0, 3, 1, 97);
+    rec.log_end("{\"kind\": \"graph\", \"configs\": 42}", &busy_metrics());
+}
+
+/// The `kind` event of a freshly written one-run log.
+fn logged(kind: &str) -> JsonValue {
+    let dir = std::env::temp_dir().join(format!("mc_rt_{kind}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mc.jsonl");
+    std::fs::remove_file(&path).ok();
+    write_every_event(&path);
+    let events = read_log(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    let kinds: Vec<&str> = events
+        .iter()
+        .map(|v| v.get("event").and_then(JsonValue::as_str).unwrap())
+        .collect();
+    assert_eq!(kinds, ["start", "level", "heartbeat", "end"]);
+    events
+        .into_iter()
+        .find(|v| v.get("event").and_then(JsonValue::as_str) == Some(kind))
+        .unwrap()
+}
+
 #[test]
-fn run_record_round_trip() {
-    let record = RunRecord {
-        spec_hash: 0x0123_4567_89ab_cdef,
-        started_unix_ms: 1_700_000_000_000,
-        ended_unix_ms: 1_700_000_001_500,
-        git_revision: "abc123def456".to_string(),
-        options_json: "{\"max_configs\": 200000, \"threads\": 4}".to_string(),
-        outcome_json: "{\"kind\": \"graph\", \"configs\": 42, \"edges\": 99, \
-                       \"terminals\": 3, \"truncated\": false}"
-            .to_string(),
-        metrics_json: busy_metrics().to_json(),
-    };
-    let v = parse(&record.to_json());
+fn start_event_round_trip() {
+    let v = logged("start");
     assert_eq!(
         v.get("spec_hash").and_then(JsonValue::as_str),
         Some("0123456789abcdef"),
         "spec hash must be the 16-hex-digit string form (u64s overflow JSON numbers)"
     );
-    assert_eq!(u(&v, "started_unix_ms"), 1_700_000_000_000);
-    assert_eq!(u(&v, "ended_unix_ms"), 1_700_000_001_500);
-    assert_eq!(
-        v.get("git_revision").and_then(JsonValue::as_str),
-        Some("abc123def456")
-    );
+    assert!(v.get("git_revision").and_then(JsonValue::as_str).is_some());
     assert!(v.get("env").and_then(JsonValue::as_object).is_some());
     assert_eq!(u(v.get("options").unwrap(), "threads"), 4);
-    assert_eq!(
-        v.get("outcome")
-            .unwrap()
-            .get("kind")
-            .and_then(JsonValue::as_str),
-        Some("graph")
-    );
-    assert_eq!(u(v.get("metrics").unwrap(), "configs"), 1000);
+    assert!(u(&v, "started_unix_ms") > 0);
 }
 
 #[test]
-fn run_log_appends_parseable_lines() {
-    let dir = std::env::temp_dir().join(format!("mc_rt_runlog_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("runs.jsonl");
-    let rec = Recorder::new().with_run_log(&path);
-    let record = RunRecord {
-        spec_hash: 7,
-        started_unix_ms: 1,
-        ended_unix_ms: 2,
-        git_revision: "r".to_string(),
-        options_json: "{}".to_string(),
-        outcome_json: "{\"kind\": \"graph\"}".to_string(),
-        metrics_json: ExploreMetrics::default().to_json(),
-    };
-    rec.append_run_record(&record);
-    rec.append_run_record(&record);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2, "one JSONL line per record");
-    for line in lines {
-        let v = parse(line);
-        assert_eq!(
-            v.get("spec_hash").and_then(JsonValue::as_str),
-            Some("0000000000000007")
-        );
+fn level_event_round_trip() {
+    // The payload is `LevelMetrics::to_json`, numbered by the recorder.
+    let v = logged("level");
+    for (i, key) in ["level", "items", "new_nodes", "nodes", "edges"]
+        .iter()
+        .enumerate()
+    {
+        assert_eq!(u(&v, key), i as u64, "{key}");
     }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(u(&v, "elapsed_ns"), 5);
 }
 
 #[test]
-fn status_file_round_trip() {
-    let dir = std::env::temp_dir().join(format!("mc_rt_status_{}", std::process::id()));
+fn heartbeat_event_round_trip() {
+    let v = logged("heartbeat");
+    assert_eq!(u(&v, "explored"), 3);
+    assert_eq!(u(&v, "frontier"), 1);
+    assert_eq!(u(&v, "expansions"), 1);
+    assert_eq!(u(&v, "bound_remaining"), 97);
+    assert_eq!(u(&v, "spilled_bytes"), 0);
+    assert!(v
+        .get("configs_per_sec")
+        .and_then(JsonValue::as_f64)
+        .is_some());
+    // The first beat has no previous frontier, so no remaining estimate.
+    assert!(v.get("est_remaining").unwrap().is_null());
+}
+
+#[test]
+fn end_event_round_trip() {
+    let v = logged("end");
+    assert_eq!(u(v.get("outcome").unwrap(), "configs"), 42);
+    let metrics = v.get("metrics").unwrap();
+    assert_eq!(u(metrics, "configs"), 1000);
+    let levels = metrics.get("levels").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(levels.len(), 2);
+    assert!(u(&v, "ended_unix_ms") > 0);
+}
+
+#[test]
+fn two_recorders_append_whole_lines_to_one_log() {
+    // Two recorders on one file, as two processes would be: neither
+    // truncates the other, each event stays one whole line, and each run
+    // keeps its own id.
+    let dir = std::env::temp_dir().join(format!("mc_rt_append_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("status.json");
-    let rec = Recorder::new().with_status_file(&path);
-    rec.finalize_status(1234);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let v = parse(&text);
-    assert_eq!(v.get("state").and_then(JsonValue::as_str), Some("done"));
-    assert_eq!(u(&v, "explored"), 1234);
-    assert_eq!(u(&v, "frontier"), 0);
-    assert_eq!(u(&v, "bound_remaining"), 0);
-    assert_eq!(u(&v, "pid"), u64::from(std::process::id()));
-    assert!(v.get("eta_secs").and_then(JsonValue::as_f64).is_some());
-    // The atomic-rename protocol must leave no temp file behind.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+    let path = dir.join("mc.jsonl");
+    std::fs::remove_file(&path).ok();
+    write_every_event(&path);
+    write_every_event(&path);
+    let runs: Vec<String> = read_log(&path)
+        .iter()
+        .map(|v| {
+            v.get("run")
+                .and_then(JsonValue::as_str)
+                .unwrap()
+                .to_string()
+        })
         .collect();
-    assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
+    assert_eq!(runs.len(), 8);
+    assert!(runs[..4].iter().all(|r| *r == runs[0]));
+    assert!(runs[4..].iter().all(|r| *r == runs[4]));
+    assert_ne!(runs[0], runs[4], "each run gets its own id");
+    // A recorder without a log writes nothing and reports none.
+    let bare = Recorder::new();
+    assert!(!bare.has_log());
+    bare.log_end("{}", &ExploreMetrics::default());
+    assert_eq!(read_log(&path).len(), 8);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,8 +14,9 @@
 //!
 //! The run closes with a telemetry demo: one instrumented exploration with
 //! a per-level progress heartbeat and the final [`ExploreMetrics`] phase
-//! breakdown — the same counters `MC_PROGRESS=1` / `MC_TRACE=<path>` turn
-//! on for every exploration (including all of the searches above).
+//! breakdown — the same counters every exploration carries, which
+//! `MC_PROGRESS=1` reports on stderr and `MC_LOG=<path>` appends to one
+//! JSONL event log (including all of the searches above).
 //!
 //! Run with: `cargo run --release --example impossibility_search [--deep]`
 
@@ -89,19 +90,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One exploration of the E1 fixture (3 processes through a
     // deterministic O_{2,1}) with a heartbeat per expansion, then the phase
     // and counter breakdown every exploration carries. Every exploration
-    // above accepts the same sinks via `MC_PROGRESS=1` / `MC_TRACE=<path>`.
+    // above accepts the same sinks via `MC_PROGRESS=1` / `MC_LOG=<path>`,
+    // and so does this one: its heartbeats land in the event log too.
     println!("\n── exploration telemetry (E1 fixture, 3 procs over O_{{2,1}}) ──\n");
     let mut b = SystemBuilder::new();
     let obj = b.add_object(GroupedObject::for_level(2, 1));
     let p: Arc<dyn Protocol> = Arc::new(ProposeDecide::new(obj));
     b.add_processes(p, (1..=3).map(Value::Int));
     let spec = b.build();
-    let rec = Recorder::new().with_progress(1, |r| println!("   heartbeat: {r}"));
+    let rec = Recorder::from_env().with_progress(1, |r| println!("   heartbeat: {r}"));
     let g = StateGraph::explore_with(&spec, &ExploreOptions::default().with_por(true), &rec)?;
     println!("\n{}\n", g.metrics());
     println!(
-        "   (set MC_PROGRESS=1 for a stderr heartbeat and MC_TRACE=<path> for a\n\
-         \x20   per-level JSONL span log on any exploration in this workspace)"
+        "   (set MC_PROGRESS=1 for a stderr heartbeat and MC_LOG=<path> for a\n\
+         \x20   JSONL event log of every exploration in this workspace)"
     );
     Ok(())
 }

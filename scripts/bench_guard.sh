@@ -28,7 +28,9 @@
 #    budget), every SPILL line must carry an index_reads count and at
 #    least one must be nonzero (so the merge-side probe of the spilled
 #    index runs is exercised, not only the RAM table), and no mc-spill-*
-#    run directory may survive the run.
+#    run directory may survive the run (the run gets its own fresh
+#    MC_STORE_DIR, so directories other processes left in the temp dir
+#    cannot fail it).
 #
 # 4. mc-report diff self-consistency: `mc-report diff` on the committed
 #    baseline against itself must report zero regressions and exit 0,
@@ -136,7 +138,10 @@ echo "bench_guard: verdict goal OK ($(wc -l <<<"$fresh_v") VERDICT lines, early 
 # fixtures actually spill; the explored graphs — the frozen, unspilled
 # footprints behind approx_bytes_per_config, and the interner arenas'
 # sizes and hit counters — must be byte-identical to the in-memory run.
-disk_raw=$(INTERNER_STATS=1 MC_STORE=disk MC_STORE_BUDGET=65536 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT|SPILL) ' || true)
+# A fresh store dir: the leak check below sees only this run's directories.
+spill_base="$(mktemp -d)"
+trap 'rm -rf "$spill_base"' EXIT
+disk_raw=$(MC_STORE_DIR="$spill_base" INTERNER_STATS=1 MC_STORE=disk MC_STORE_BUDGET=65536 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT|SPILL) ' || true)
 disk_g=$(grep -E '^(GUARD|INTERNER|VERDICT) ' <<<"$disk_raw" || true)
 mem_g=$(grep -E '^(GUARD|INTERNER|VERDICT) ' <<<"$raw" || true)
 if [[ -z "$disk_g" ]]; then
@@ -177,7 +182,6 @@ if ((probed == 0)); then
   echo "bench_guard: FAILED — no SPILL line read the spilled fingerprint index (index_reads all 0)" >&2
   exit 1
 fi
-spill_base="${MC_STORE_DIR:-${TMPDIR:-/tmp}}"
 leftover=$(find "$spill_base" -maxdepth 1 -name 'mc-spill-*' 2>/dev/null || true)
 if [[ -n "$leftover" ]]; then
   echo "bench_guard: FAILED — spill run directories leaked:" >&2

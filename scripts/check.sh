@@ -22,36 +22,33 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --workspace
 
-# Telemetry smoke: run the flagship example with the heartbeat, the JSONL
-# span trace, the run ledger and the live status file all on, then validate
-# every artifact with mc-report (the std-only analysis CLI — the trace
-# check replaces the old inline python3 validator: every line parses, the
-# level-span keys are present, levels strictly monotone from 0). The
-# example runs thousands of explorations; MC_TRACE truncates per
-# exploration (the file holds the spans of the last one) while MC_RUN_LOG
-# appends one ledger line per exploration and MC_STATUS_FILE holds the
-# last atomically-renamed heartbeat snapshot.
-echo "==> telemetry smoke: MC_PROGRESS=1 + trace + ledger + status, impossibility_search"
-rm -f /tmp/mc_trace.jsonl /tmp/mc_runs.jsonl /tmp/mc_status.json
-MC_PROGRESS=1 MC_TRACE=/tmp/mc_trace.jsonl \
-  MC_RUN_LOG=/tmp/mc_runs.jsonl MC_STATUS_FILE=/tmp/mc_status.json \
-  cargo run --release -q --example impossibility_search >/tmp/mc_example.log
-cargo run --release -q --bin mc-report -- validate /tmp/mc_trace.jsonl
-# Every ledger line the example wrote must parse and render, not just the
-# last one.
-cargo run --release -q --bin mc-report -- ledger /tmp/mc_runs.jsonl >/dev/null \
-  || { echo "telemetry smoke: run ledger failed to parse" >&2; exit 1; }
-cargo run --release -q --bin mc-report -- tail /tmp/mc_status.json \
-  || { echo "telemetry smoke: status file failed to parse" >&2; exit 1; }
-# A ledger diffed against itself must report zero regressions.
-cargo run --release -q --bin mc-report -- diff /tmp/mc_runs.jsonl /tmp/mc_runs.jsonl >/dev/null \
-  || { echo "telemetry smoke: self-diff of the run ledger reported regressions" >&2; exit 1; }
-echo "telemetry smoke: OK (trace validated, ledger + status parsed)"
+# Telemetry smoke: run the flagship example with the stderr heartbeat and
+# the event log on, then check the log with mc-report (the std-only
+# analysis CLI). The example runs thousands of explorations and every one
+# appends its start, level, heartbeat and end events to the one log, so
+# `validate` checks each exploration's sequence, `ledger` renders every
+# finished run, `tail` reads the latest status and a self-diff must report
+# no regression.
+echo "==> telemetry smoke: MC_PROGRESS=1 + MC_LOG, impossibility_search"
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir"' EXIT
+log="$smoke_dir/mc.jsonl"
+MC_PROGRESS=1 MC_LOG="$log" \
+  cargo run --release -q --example impossibility_search >"$smoke_dir/example.log"
+report() { cargo run --release -q --bin mc-report -- "$@"; }
+report validate "$log"
+report ledger "$log" >/dev/null \
+  || { echo "telemetry smoke: a finished run failed to render" >&2; exit 1; }
+report tail "$log" \
+  || { echo "telemetry smoke: tail found no status" >&2; exit 1; }
+report diff "$log" "$log" >/dev/null \
+  || { echo "telemetry smoke: self-diff of the event log reported regressions" >&2; exit 1; }
+echo "telemetry smoke: OK (every exploration validated, ledger + tail rendered)"
 # The example's closing demo runs an every-expansion heartbeat; its absence
 # means the progress-callback path broke. (The MC_PROGRESS=1 stderr default
 # fires every 100k expansions — these fixtures are far smaller, so stderr
 # staying quiet is expected.)
-grep -q 'heartbeat: level' /tmp/mc_example.log \
+grep -q 'heartbeat: level' "$smoke_dir/example.log" \
   || { echo "telemetry smoke: example emitted no heartbeat" >&2; exit 1; }
 
 # Verdict-goal smoke: the hierarchy-table example ends with streaming

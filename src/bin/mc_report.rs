@@ -1,23 +1,26 @@
-//! `mc-report` — inspect the model checker's telemetry artifacts.
+//! `mc-report` — read the model checker's `MC_LOG` event log.
 //!
-//! Std-only companion CLI to the exploration engine's persistent
-//! observability layer. Four subcommands, one per artifact:
+//! Std-only companion CLI to the append-only JSONL log the explorer writes
+//! per run: one `start`, a `level` per BFS level, `heartbeat`s and one
+//! `end`, every line tagged with its `run` id. Four subcommands:
 //!
-//! * `ledger <runs.jsonl>` — pretty-print an `MC_RUN_LOG` run ledger:
-//!   per-run identity (spec hash, git revision, wall time), options,
+//! * `ledger <log>` — one block per finished run: its `end` joined to its
+//!   `start` — identity (spec hash, git revision, wall time), options,
 //!   outcome, a per-phase wall-time breakdown and spill stats.
-//! * `tail <status.json>` — render an `MC_STATUS_FILE` snapshot (pass
-//!   `--follow` to poll until the run reports `done`).
-//! * `validate <trace.jsonl>` — check an `MC_TRACE` level log: every line
-//!   parses, carries the level-span schema, and levels count up from 0.
-//! * `diff <a> <b>` — compare two `BENCH_modelcheck.json` files (or two
-//!   run-ledger JSONL files) row by row and report per-fixture regression
+//! * `tail <log>` — the latest `heartbeat` or `end` event (pass
+//!   `--follow` to poll until the last run's `end`).
+//! * `validate <log>` — per run: a `start`, then levels counting up from
+//!   0 with node counts that never shrink, then one `end` whose
+//!   `metrics.levels` has one entry per `level` event.
+//! * `diff <a> <b>` — compare two `BENCH_modelcheck.json` files row by
+//!   row (or the last `end` of two event logs) and report regression
 //!   deltas; exits non-zero iff a deterministic graph fact regressed.
 //!
-//! Everything is parsed with the in-tree `subconsensus_sim::json` parser —
-//! the same one the round-trip unit suite runs every hand-built emitter
-//! through.
+//! An unterminated final line is an append in progress and is skipped.
+//! Everything is parsed with the in-tree `subconsensus_sim::json` parser,
+//! which the round-trip suite runs every hand-built emitter through.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -27,12 +30,12 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: mc-report <command> [args]\n\
          \n\
-         commands:\n\
-           ledger <runs.jsonl> [--last N]   pretty-print an MC_RUN_LOG run ledger\n\
-           tail <status.json> [--follow]    render an MC_STATUS_FILE snapshot\n\
-           validate <trace.jsonl>           validate an MC_TRACE level log\n\
-           diff <a> <b>                     diff two BENCH_modelcheck.json files\n\
-                                            (or two run-ledger JSONL files)"
+         commands (<log> is an MC_LOG event log):\n\
+           ledger <log> [--last N]   render the finished runs\n\
+           tail <log> [--follow]     show the latest heartbeat or end event\n\
+           validate <log>            check every run's start/level/end sequence\n\
+           diff <a> <b>              diff two BENCH_modelcheck.json files\n\
+                                     (or the last run of two event logs)"
     );
     ExitCode::from(2)
 }
@@ -51,7 +54,12 @@ fn main() -> ExitCode {
         },
         ("tail", [path]) => tail(path, false),
         ("tail", [path, flag]) if flag == "--follow" => tail(path, true),
-        ("validate", [path]) => validate(path),
+        ("validate", [path]) => read(path)
+            .and_then(|text| validate(path, &text))
+            .map(|summary| {
+                println!("{summary}");
+                ExitCode::SUCCESS
+            }),
         ("diff", [a, b]) => diff(a, b),
         _ => return usage(),
     };
@@ -66,6 +74,50 @@ fn main() -> ExitCode {
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// The log's complete lines, parsed: event `i` is on line `i + 1`. An
+/// unterminated final line is an append in progress and is skipped.
+fn events(path: &str, text: &str) -> Result<Vec<JsonValue>, String> {
+    let complete = text.rfind('\n').map_or("", |end| &text[..=end]);
+    let parse = |(i, line)| JsonValue::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1));
+    complete.lines().enumerate().map(parse).collect()
+}
+
+fn str_or<'a>(v: &'a JsonValue, key: &str, or: &'a str) -> &'a str {
+    v.get(key).and_then(JsonValue::as_str).unwrap_or(or)
+}
+
+fn str_of<'a>(v: &'a JsonValue, key: &str) -> &'a str {
+    str_or(v, key, "")
+}
+
+fn flag(v: &JsonValue, key: &str) -> bool {
+    v.get(key).and_then(JsonValue::as_bool).unwrap_or(false)
+}
+
+/// Length of the array under `key` (0 when absent).
+fn len_of(v: &JsonValue, key: &str) -> usize {
+    v.get(key)
+        .and_then(JsonValue::as_array)
+        .map_or(0, <[JsonValue]>::len)
+}
+
+/// Every `end` event in log order, paired with its run's `start` (if the
+/// log holds it).
+fn finished_runs(events: &[JsonValue]) -> Vec<(Option<&JsonValue>, &JsonValue)> {
+    let mut starts: HashMap<&str, &JsonValue> = HashMap::new();
+    let mut runs = Vec::new();
+    for ev in events {
+        match str_of(ev, "event") {
+            "start" => {
+                starts.insert(str_of(ev, "run"), ev);
+            }
+            "end" => runs.push((starts.get(str_of(ev, "run")).copied(), ev)),
+            _ => {}
+        }
+    }
+    runs
 }
 
 fn num(v: &JsonValue, key: &str) -> f64 {
@@ -83,43 +135,37 @@ fn ms(ns: f64) -> String {
 // ---------------------------------------------------------------- ledger
 
 fn ledger(path: &str, last: usize) -> Result<ExitCode, String> {
-    let text = read(path)?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.is_empty() {
-        return Err(format!("{path}: empty ledger"));
+    let events = events(path, &read(path)?)?;
+    let runs = finished_runs(&events);
+    if runs.is_empty() {
+        return Err(format!("{path}: no finished runs"));
     }
-    let skip = lines.len().saturating_sub(last);
-    for (i, line) in lines.iter().enumerate().skip(skip) {
-        let rec = JsonValue::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        print!("{}", render_run(&rec, i + 1));
+    let skip = runs.len().saturating_sub(last);
+    for (i, (start, end)) in runs.iter().enumerate().skip(skip) {
+        print!("{}", render_run(*start, end, i + 1));
     }
     println!(
         "{} run{} in {path}",
-        lines.len(),
-        if lines.len() == 1 { "" } else { "s" }
+        runs.len(),
+        if runs.len() == 1 { "" } else { "s" }
     );
     Ok(ExitCode::SUCCESS)
 }
 
-fn render_run(rec: &JsonValue, n: usize) -> String {
+fn render_run(start: Option<&JsonValue>, end: &JsonValue, n: usize) -> String {
     let mut out = String::new();
-    let spec = rec
-        .get("spec_hash")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("?");
-    let rev = rec
-        .get("git_revision")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("?");
-    let started = int(rec, "started_unix_ms");
-    let wall = int(rec, "ended_unix_ms").saturating_sub(started);
+    let spec = start.map_or("?", |s| str_of(s, "spec_hash"));
+    let rev = start.map_or("?", |s| str_of(s, "git_revision"));
+    let started = start.map_or(0, |s| int(s, "started_unix_ms"));
+    let wall = int(end, "ended_unix_ms").saturating_sub(started);
     let _ = writeln!(
         out,
-        "run {n}: spec {spec}  rev {rev}  started {}.{:03} (unix)  wall {wall}ms",
+        "run {n} ({}): spec {spec}  rev {rev}  started {}.{:03} (unix)  wall {wall}ms",
+        str_of(end, "run"),
         started / 1000,
         started % 1000
     );
-    if let Some(opts) = rec.get("options") {
+    if let Some(opts) = start.and_then(|s| s.get("options")) {
         let budget = match opts.get("store_budget_bytes") {
             Some(JsonValue::Number(b)) => format!(", budget {b} B"),
             _ => String::new(),
@@ -128,33 +174,23 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
             out,
             "  options: goal {}, max_configs {}, threads {}, \
              symmetry {}, por {}, store {}{budget}",
-            opts.get("goal").and_then(JsonValue::as_str).unwrap_or("?"),
+            str_or(opts, "goal", "?"),
             int(opts, "max_configs"),
             int(opts, "threads"),
-            opts.get("symmetry")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-            opts.get("por")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-            opts.get("store").and_then(JsonValue::as_str).unwrap_or("?"),
+            flag(opts, "symmetry"),
+            flag(opts, "por"),
+            str_or(opts, "store", "?"),
         );
     }
-    if let Some(outcome) = rec.get("outcome") {
-        match outcome.get("kind").and_then(JsonValue::as_str) {
-            Some("verdict") => {
+    if let Some(outcome) = end.get("outcome") {
+        match str_of(outcome, "kind") {
+            "verdict" => {
                 if let Some(v) = outcome.get("verdict") {
-                    let holds =
-                        v.get("holds")
-                            .map_or("undecided".to_string(), |h| match h.as_bool() {
-                                Some(b) => b.to_string(),
-                                None => "undecided".to_string(),
-                            });
-                    let cause = v
-                        .get("cause")
-                        .and_then(|c| c.get("kind"))
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("?");
+                    let holds = v
+                        .get("holds")
+                        .and_then(JsonValue::as_bool)
+                        .map_or("undecided".to_string(), |b| b.to_string());
+                    let cause = v.get("cause").map_or("?", |c| str_or(c, "kind", "?"));
                     let _ = writeln!(
                         out,
                         "  outcome: verdict holds={holds} ({cause}), {} configs, \
@@ -164,6 +200,9 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
                     );
                 }
             }
+            "error" => {
+                let _ = writeln!(out, "  outcome: error: {}", str_of(outcome, "error"));
+            }
             _ => {
                 let _ = writeln!(
                     out,
@@ -171,7 +210,7 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
                     int(outcome, "configs"),
                     int(outcome, "edges"),
                     int(outcome, "terminals"),
-                    if outcome.get("truncated").and_then(JsonValue::as_bool) == Some(true) {
+                    if flag(outcome, "truncated") {
                         " [TRUNCATED]"
                     } else {
                         ""
@@ -180,7 +219,7 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
             }
         }
     }
-    if let Some(metrics) = rec.get("metrics") {
+    if let Some(metrics) = end.get("metrics") {
         out.push_str(&render_metrics(metrics));
     }
     out
@@ -188,23 +227,15 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
 
 fn render_metrics(metrics: &JsonValue) -> String {
     let mut out = String::new();
-    match metrics.get("truncation") {
-        Some(JsonValue::Object(_)) => {
-            let t = metrics.get("truncation").unwrap();
-            let _ = writeln!(
-                out,
-                "  truncation: {} ({})",
-                t.get("cause").and_then(JsonValue::as_str).unwrap_or("?"),
-                t.get("cap")
-                    .or_else(|| t.get("budget"))
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0)
-            );
-        }
-        _ => {
-            let _ = writeln!(out, "  truncation: none (complete)");
-        }
-    }
+    let _ = match metrics.get("truncation").filter(|t| !t.is_null()) {
+        Some(t) => writeln!(
+            out,
+            "  truncation: {} ({})",
+            str_or(t, "cause", "?"),
+            int(t, "cap").max(int(t, "budget"))
+        ),
+        None => writeln!(out, "  truncation: none (complete)"),
+    };
     // Render whichever `*_ns` phases the line carries, so ledgers written
     // under any phase schema stay readable.
     if let Some(phases) = metrics.get("phases") {
@@ -244,10 +275,7 @@ fn render_metrics(metrics: &JsonValue) -> String {
         int(metrics, "generated"),
         int(metrics, "dedup_hits"),
         int(metrics, "expansions"),
-        metrics
-            .get("levels")
-            .and_then(JsonValue::as_array)
-            .map_or(0, <[JsonValue]>::len),
+        len_of(metrics, "levels"),
         int(metrics, "peak_bytes")
     );
     out
@@ -257,85 +285,130 @@ fn render_metrics(metrics: &JsonValue) -> String {
 
 fn tail(path: &str, follow: bool) -> Result<ExitCode, String> {
     loop {
-        let text = read(path)?;
-        let v = JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let state = v.get("state").and_then(JsonValue::as_str).unwrap_or("?");
-        let eta = match v.get("eta_secs").and_then(JsonValue::as_f64) {
-            Some(eta) => format!(", eta ~{eta:.0}s"),
-            None => String::new(),
-        };
-        let spilled = int(&v, "spilled_bytes");
-        let spill = if spilled > 0 {
-            format!(", {spilled} B spilled")
-        } else {
-            String::new()
-        };
-        println!(
-            "[{state}] pid {}: level {}, {} explored, {} frontier, \
-             {:.0} configs/sec ({:.0} recent), bound remaining {}{eta}{spill}",
-            int(&v, "pid"),
-            int(&v, "level"),
-            int(&v, "explored"),
-            int(&v, "frontier"),
-            num(&v, "configs_per_sec"),
-            num(&v, "recent_configs_per_sec"),
-            int(&v, "bound_remaining")
-        );
-        if !follow || state == "done" {
-            return Ok(ExitCode::SUCCESS);
+        let events = events(path, &read(path)?)?;
+        let status = latest_status(&events);
+        if let Some(line) = &status {
+            println!("{line}");
+        }
+        // Done once the run of the last `start` has its `end`.
+        let last_run = events
+            .iter()
+            .rfind(|ev| str_of(ev, "event") == "start")
+            .map(|ev| str_of(ev, "run"));
+        let done = finished_runs(&events)
+            .iter()
+            .any(|(_, end)| Some(str_of(end, "run")) == last_run);
+        if !follow || done {
+            return status
+                .map(|_| ExitCode::SUCCESS)
+                .ok_or_else(|| format!("{path}: no heartbeat or end event yet"));
         }
         std::thread::sleep(std::time::Duration::from_millis(500));
     }
 }
 
+/// The latest `heartbeat` or `end` event, rendered as one status line.
+fn latest_status(events: &[JsonValue]) -> Option<String> {
+    let ev = events
+        .iter()
+        .rfind(|ev| matches!(str_of(ev, "event"), "heartbeat" | "end"))?;
+    let run = str_of(ev, "run");
+    if let Some(m) = ev.get("metrics") {
+        return Some(format!(
+            "[done] run {run}: {} configs, {} edges in {} levels",
+            int(m, "configs"),
+            int(m, "edges"),
+            len_of(m, "levels")
+        ));
+    }
+    let eta = match ev.get("eta_secs").and_then(JsonValue::as_f64) {
+        Some(eta) => format!(", eta ~{eta:.0}s"),
+        None => String::new(),
+    };
+    Some(format!(
+        "[running] run {run}: level {}, {} explored, {} frontier, \
+         {:.0} configs/sec ({:.0} recent), bound remaining {}{eta}, {} B spilled",
+        int(ev, "level"),
+        int(ev, "explored"),
+        int(ev, "frontier"),
+        num(ev, "configs_per_sec"),
+        num(ev, "recent_configs_per_sec"),
+        int(ev, "bound_remaining"),
+        int(ev, "spilled_bytes")
+    ))
+}
+
 // -------------------------------------------------------------- validate
 
-fn validate(path: &str) -> Result<ExitCode, String> {
-    let text = read(path)?;
-    let mut levels = 0u64;
-    let mut last_nodes = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+/// Checks every run of the log: a `start`, then `level` events counting up
+/// from 0 whose node counts never shrink, then one `end` whose
+/// `metrics.levels` has one entry per `level` event; `heartbeat`s may fall
+/// anywhere in between. Returns the one-line summary.
+fn validate(path: &str, text: &str) -> Result<String, String> {
+    // Per run: levels seen, the last level's node count, ended.
+    let mut runs: HashMap<&str, (u64, u64, bool)> = HashMap::new();
+    let (mut nlevels, mut nbeats) = (0u64, 0u64);
+    let events = events(path, text)?;
+    for (i, ev) in events.iter().enumerate() {
+        let at = format!("{path}:{}", i + 1);
+        let (kind, run) = (str_of(ev, "event"), str_of(ev, "run"));
+        if kind == "start" {
+            if runs.insert(run, (0, 0, false)).is_some() {
+                return Err(format!("{at}: second start of run {run}"));
+            }
             continue;
         }
-        let rec = JsonValue::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        for key in [
-            "level",
-            "items",
-            "new_nodes",
-            "nodes",
-            "edges",
-            "elapsed_ns",
-        ] {
-            if rec.get(key).and_then(JsonValue::as_u64).is_none() {
-                return Err(format!(
-                    "{path}:{}: missing or non-integer key \"{key}\"",
-                    i + 1
-                ));
+        let (levels, last_nodes, ended) = runs
+            .get_mut(run)
+            .ok_or_else(|| format!("{at}: {kind} event of run {run}, which has no start"))?;
+        if *ended {
+            return Err(format!("{at}: {kind} event after the end of run {run}"));
+        }
+        match kind {
+            "level" => {
+                let keys = ["items", "new_nodes", "edges", "elapsed_ns"];
+                if let Some(key) = keys
+                    .iter()
+                    .find(|k| ev.get(k).and_then(JsonValue::as_u64).is_none())
+                {
+                    return Err(format!("{at}: missing or non-integer key \"{key}\""));
+                }
+                let (level, nodes) = (int(ev, "level"), int(ev, "nodes"));
+                if ev.get("level").is_none() || level != *levels {
+                    return Err(format!(
+                        "{at}: run {run} level {level}, expected {levels} (levels count up from 0)"
+                    ));
+                }
+                if ev.get("nodes").is_none() || nodes < *last_nodes {
+                    return Err(format!("{at}: run {run} nodes {nodes} after {last_nodes}"));
+                }
+                (*levels, *last_nodes) = (level + 1, nodes);
+                nlevels += 1;
             }
+            "heartbeat" => nbeats += 1,
+            "end" => {
+                let recorded = ev.get("metrics").map_or(0, |m| len_of(m, "levels")) as u64;
+                if recorded != *levels {
+                    return Err(format!(
+                        "{at}: run {run} ends with {recorded} levels in its metrics \
+                         but logged {levels} level events"
+                    ));
+                }
+                *ended = true;
+            }
+            other => return Err(format!("{at}: unknown event \"{other}\"")),
         }
-        let level = int(&rec, "level");
-        if level != levels {
-            return Err(format!(
-                "{path}:{}: level {level}, expected {levels} (levels must count up from 0)",
-                i + 1
-            ));
-        }
-        let nodes = int(&rec, "nodes");
-        if nodes < last_nodes {
-            return Err(format!(
-                "{path}:{}: nodes shrank {last_nodes} -> {nodes}",
-                i + 1
-            ));
-        }
-        last_nodes = nodes;
-        levels += 1;
     }
-    if levels == 0 {
-        return Err(format!("{path}: no level records"));
+    if let Some((open, _)) = runs.iter().find(|(_, run)| !run.2) {
+        return Err(format!("{path}: run {open} has no end"));
     }
-    println!("ok: {levels} level records, {last_nodes} nodes final");
-    Ok(ExitCode::SUCCESS)
+    if runs.is_empty() {
+        return Err(format!("{path}: no runs"));
+    }
+    Ok(format!(
+        "ok: {} runs, {nlevels} level events, {nbeats} heartbeats",
+        runs.len()
+    ))
 }
 
 // ------------------------------------------------------------------ diff
@@ -345,20 +418,12 @@ fn validate(path: &str) -> Result<ExitCode, String> {
 fn row_key(row: &JsonValue) -> String {
     format!(
         "{} goal={} store={} threads={} sym={} por={}",
-        row.get("fixture")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        row.get("goal")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("full"),
-        row.get("store")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("mem"),
+        str_or(row, "fixture", "?"),
+        str_or(row, "goal", "full"),
+        str_or(row, "store", "mem"),
         int(row, "threads"),
-        row.get("symmetry")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        row.get("por").and_then(JsonValue::as_bool).unwrap_or(false),
+        flag(row, "symmetry"),
+        flag(row, "por"),
     )
 }
 
@@ -373,7 +438,7 @@ fn diff(path_a: &str, path_b: &str) -> Result<ExitCode, String> {
         .filter(|v| v.get("kernels").is_some());
     match (bench_a, bench_b) {
         (Some(a), Some(b)) => diff_bench(&a, &b),
-        _ => diff_ledger(path_a, &text_a, path_b, &text_b),
+        _ => diff_logs(path_a, &text_a, path_b, &text_b),
     }
 }
 
@@ -460,81 +525,63 @@ fn diff_bench(a: &JsonValue, b: &JsonValue) -> Result<ExitCode, String> {
          {regressions} regressed",
         rows_a.len()
     );
-    Ok(if regressions == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    // Exit 1 iff something regressed.
+    Ok(ExitCode::from(u8::from(regressions > 0)))
 }
 
-/// Ledger mode: compare the *last* record of each file (typically two runs
-/// of the same spec) on the deterministic graph facts.
-fn diff_ledger(path_a: &str, text_a: &str, path_b: &str, text_b: &str) -> Result<ExitCode, String> {
-    let last = |path: &str, text: &str| -> Result<JsonValue, String> {
-        let line = text
-            .lines()
-            .rfind(|l| !l.trim().is_empty())
-            .ok_or_else(|| format!("{path}: empty ledger"))?;
-        JsonValue::parse(line).map_err(|e| format!("{path}: {e}"))
+/// Event-log mode: compare the last finished run of each log (typically
+/// two runs of the same spec) on the deterministic graph facts.
+fn diff_logs(path_a: &str, text_a: &str, path_b: &str, text_b: &str) -> Result<ExitCode, String> {
+    let last = |path: &str, text: &str| -> Result<(String, JsonValue), String> {
+        let events = events(path, text)?;
+        let (start, end) = finished_runs(&events)
+            .pop()
+            .ok_or_else(|| format!("{path}: no finished runs"))?;
+        let hash = start.map_or("?", |s| str_of(s, "spec_hash")).to_string();
+        Ok((hash, end.get("metrics").cloned().unwrap_or(JsonValue::Null)))
     };
-    let a = last(path_a, text_a)?;
-    let b = last(path_b, text_b)?;
-    let hash = |v: &JsonValue| {
-        v.get("spec_hash")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    if hash(&a) != hash(&b) {
+    let (hash_a, a) = last(path_a, text_a)?;
+    let (hash_b, b) = last(path_b, text_b)?;
+    if hash_a != hash_b {
         println!(
-            "note: different specs ({} vs {}) — facts are not comparable as a regression",
-            hash(&a),
-            hash(&b)
+            "note: different specs ({hash_a} vs {hash_b}) — facts are not comparable as a regression"
         );
     }
-    let facts = |v: &JsonValue, key: &str| v.get("metrics").map_or(0, |m| int(m, key));
     let mut regressions = 0usize;
     for fact in ["configs", "edges", "peak_bytes"] {
-        let (va, vb) = (facts(&a, fact), facts(&b, fact));
+        let (va, vb) = (int(&a, fact), int(&b, fact));
         if va != vb {
             let dir = if vb > va { "REGRESS" } else { "improve" };
             println!("{dir:7}  {fact}: {va} -> {vb}");
-            regressions += usize::from(vb > va && hash(&a) == hash(&b));
+            regressions += usize::from(vb > va && hash_a == hash_b);
         } else {
             println!("   same  {fact}: {va}");
         }
     }
-    let truncated = |v: &JsonValue| {
-        v.get("metrics")
-            .and_then(|m| m.get("truncation"))
-            .is_some_and(|t| !t.is_null())
-    };
+    let truncated = |m: &JsonValue| m.get("truncation").is_some_and(|t| !t.is_null());
     if !truncated(&a) && truncated(&b) {
         println!("REGRESS  run now truncates");
         regressions += 1;
     }
     println!("diff: {regressions} regressions");
-    Ok(if regressions == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    // Exit 1 iff something regressed.
+    Ok(ExitCode::from(u8::from(regressions > 0)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Renders one ledger line's phase breakdown.
+    /// Renders one `end` event's phase breakdown.
     fn phases_of(line: &str) -> String {
-        render_run(&JsonValue::parse(line).expect("ledger line parses"), 1)
+        render_run(None, &JsonValue::parse(line).expect("end event parses"), 1)
     }
 
     #[test]
     fn ledger_renders_every_phase_schema() {
         // Written before per-level phases: per-successor slots, untimed.
         let old = phases_of(
-            "{\"spec_hash\": \"00000000000000ff\", \"metrics\": {\"configs\": 4, \
+            "{\"event\": \"end\", \"run\": \"1.0\", \"metrics\": {\"configs\": 4, \
              \"timed\": false, \"phases\": {\"expand_ns\": 0, \"canonicalize_ns\": 0, \
              \"por_ns\": 0, \"dedup_ns\": 0, \"merge_ns\": 0, \"freeze_ns\": 0, \
              \"freeze_calls\": 0, \"reverse_csr_ns\": 0, \"reverse_csr_calls\": 0, \
@@ -549,7 +596,7 @@ mod tests {
         assert!(old.contains("(total 0.00ms)"), "{old}");
         // Written after: per-level phases, always on.
         let new = phases_of(
-            "{\"spec_hash\": \"00000000000000ff\", \"metrics\": {\"configs\": 4, \
+            "{\"event\": \"end\", \"run\": \"1.1\", \"metrics\": {\"configs\": 4, \
              \"phases\": {\"setup_ns\": 1000000, \"store_ns\": 0, \
              \"expand_ns\": 2000000, \"merge_ns\": 1000000, \"freeze_ns\": 0, \
              \"freeze_calls\": 1, \"other_ns\": 0, \"total_ns\": 4000000}}}",
@@ -561,6 +608,79 @@ mod tests {
         assert!(
             !new.contains("freeze_calls"),
             "counts are not phases:\n{new}"
+        );
+    }
+
+    /// Two interleaved runs, as two processes appending to one log write
+    /// them, each well formed.
+    const GOOD: &str = r#"{"event": "start", "run": "1.0", "spec_hash": "00000000000000ff"}
+{"event": "start", "run": "2.0", "spec_hash": "00000000000000ff"}
+{"event": "level", "run": "1.0", "level": 0, "items": 1, "new_nodes": 1, "nodes": 2, "edges": 1, "elapsed_ns": 5}
+{"event": "level", "run": "2.0", "level": 0, "items": 1, "new_nodes": 1, "nodes": 2, "edges": 1, "elapsed_ns": 5}
+{"event": "level", "run": "1.0", "level": 1, "items": 1, "new_nodes": 1, "nodes": 3, "edges": 2, "elapsed_ns": 5}
+{"event": "heartbeat", "run": "1.0", "level": 1, "explored": 3}
+{"event": "end", "run": "1.0", "metrics": {"configs": 3, "edges": 2, "levels": [{}, {}]}}
+{"event": "level", "run": "2.0", "level": 1, "items": 1, "new_nodes": 0, "nodes": 2, "edges": 2, "elapsed_ns": 5}
+{"event": "end", "run": "2.0", "metrics": {"configs": 2, "edges": 2, "levels": [{}, {}]}}
+"#;
+
+    /// `GOOD` without its line `skip` (0-based).
+    fn without(skip: usize) -> String {
+        GOOD.lines()
+            .enumerate()
+            .filter(|&(i, _)| i != skip)
+            .map(|(_, l)| format!("{l}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn validate_accepts_interleaved_runs() {
+        assert_eq!(
+            validate("log", GOOD),
+            Ok("ok: 2 runs, 4 level events, 1 heartbeats".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_removed_level_line() {
+        for (i, line) in GOOD.lines().enumerate() {
+            if line.contains("\"event\": \"level\"") {
+                assert!(
+                    validate("log", &without(i)).is_err(),
+                    "accepted without {line}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_end_without_start() {
+        let err = validate("log", &without(1)).unwrap_err();
+        assert!(
+            err.contains("log:3: level event of run 2.0, which has no start"),
+            "{err}"
+        );
+        let orphan = format!("{GOOD}{{\"event\": \"end\", \"run\": \"3.0\"}}\n");
+        let err = validate("log", &orphan).unwrap_err();
+        assert!(
+            err.contains("end event of run 3.0, which has no start"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn tail_ignores_an_unterminated_final_line() {
+        // A poller reading mid-append sees a partial last line.
+        let mut text = format!("{GOOD}{{\"event\": \"heartbeat\", \"run\": \"2.0\", \"lev");
+        let parsed = events("log", &text).expect("the partial line is skipped");
+        let status = latest_status(&parsed).expect("a finished run");
+        assert_eq!(status, "[done] run 2.0: 2 configs, 2 edges in 2 levels");
+        // Once the line is complete, it is the latest status.
+        text.push_str("el\": 1, \"explored\": 7}\n");
+        let status = latest_status(&events("log", &text).unwrap()).unwrap();
+        assert!(
+            status.starts_with("[running] run 2.0: level 1, 7 explored"),
+            "{status}"
         );
     }
 }
