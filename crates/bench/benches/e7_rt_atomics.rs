@@ -10,14 +10,14 @@ use subconsensus_bench::harness::{BenchmarkId, Criterion};
 use subconsensus_bench::{criterion_group, criterion_main};
 use subconsensus_rt::{CasConsensus, Grouped, LockFreeGrouped, LockedGrouped};
 
-/// Runs `threads` threads, each proposing `per_thread` values across many
-/// fresh objects; returns the total number of completed proposals.
-fn contend<G: Grouped, F: Fn() -> G + Sync>(make: F, threads: usize, rounds: usize) -> u64 {
+/// Runs `proposers` threads, each proposing `per_thread` values across
+/// many fresh objects; returns the total number of completed proposals.
+fn contend<G: Grouped, F: Fn() -> G + Sync>(make: F, proposers: usize, rounds: usize) -> u64 {
     let completed = AtomicU64::new(0);
     for _ in 0..rounds {
         let obj = make();
         std::thread::scope(|s| {
-            for t in 0..threads {
+            for t in 0..proposers {
                 let obj = &obj;
                 let completed = &completed;
                 s.spawn(move || {
@@ -58,11 +58,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("propose", threads),
             &threads,
-            |b, &threads| {
+            |b, &proposers| {
                 b.iter(|| {
                     let c = CasConsensus::new();
                     std::thread::scope(|s| {
-                        for t in 0..threads {
+                        for t in 0..proposers {
                             let c = &c;
                             s.spawn(move || c.propose(1 + t as u64));
                         }

@@ -206,10 +206,11 @@ where
 }
 
 /// Like [`search_binary_consensus`], but with explicit exploration
-/// options — notably `threads`, which parallelizes each per-pair model
-/// check, and `symmetry`, which quotients the interleavings of the two
-/// processes whenever a check runs the same tree on both with equal
-/// inputs (the diagonal of every `x == y` matrix).
+/// options — notably `symmetry`, which quotients the interleavings of the
+/// two processes whenever a check runs the same tree on both with equal
+/// inputs (the diagonal of every `x == y` matrix). Each per-pair check
+/// runs on the calling thread: its graphs are a few dozen configurations,
+/// so no BFS level reaches the explorer's parallel-split threshold.
 ///
 /// # Errors
 ///

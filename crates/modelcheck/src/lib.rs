@@ -19,13 +19,14 @@
 //!   the first refutation, sound partial verdicts on truncated runs, and
 //!   the freeze + reverse-CSR phases skipped entirely.
 //!
-//! Exploration scales past naive enumeration with three composable
-//! reductions (see [`ExploreOptions`]): parallel level expansion
-//! (`threads`), the orbit quotient under process symmetry (`symmetry`),
-//! and commutativity-based partial-order reduction (`por`) — the last
-//! preserving every terminal-derived verdict above while pruning redundant
-//! interleavings ([`find_critical`] alone requires a full graph and
-//! rejects reduced ones).
+//! Exploration scales past naive enumeration with level expansion split
+//! across the host's hardware threads (every BFS level of at least 32
+//! items; the graph does not depend on the split) and two composable
+//! reductions (see [`ExploreOptions`]): the orbit quotient under process
+//! symmetry (`symmetry`) and commutativity-based partial-order reduction
+//! (`por`) — the last preserving every terminal-derived verdict above
+//! while pruning redundant interleavings ([`find_critical`] alone requires
+//! a full graph and rejects reduced ones).
 //!
 //! This is the evaluation engine of the reproduction: the paper proves its
 //! theorems by hand; we check each concrete instance exhaustively for small

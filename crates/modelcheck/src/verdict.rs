@@ -305,7 +305,7 @@ pub(crate) struct TerminalFacts {
 /// All state transitions are commutative (max, union, monotone bools), so
 /// the fold is insensitive to merge order within a level; combined with
 /// level-granular early exit this keeps verdicts — and explored-config
-/// counts — deterministic across threads × symmetry × POR × store.
+/// counts — deterministic across level splits × symmetry × POR × store.
 #[derive(Debug)]
 pub(crate) struct VerdictEngine {
     query: VerdictQuery,

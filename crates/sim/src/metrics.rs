@@ -18,7 +18,8 @@
 //! * one append-only JSONL **event log** (`MC_LOG=<path>` or
 //!   [`Recorder::with_log`]): per exploration a `start` (spec hash, git
 //!   revision, resolved options, `MC_*` env), a `level` per BFS level, a
-//!   `heartbeat` per interval and an `end` (outcome, full metrics), each
+//!   `heartbeat` per interval and an `end` (outcome, metrics with the
+//!   level count in place of the level records), each
 //!   tagged `"event"` and `"run"` (`<pid>.<per-process sequence>`). Each
 //!   event is one `write_all` of one whole line to a file opened once per
 //!   recorder in append mode, so concurrent processes interleave whole
@@ -235,6 +236,9 @@ pub struct LevelMetrics {
     /// Work items expanded at this level (first visits plus POR wake-ups
     /// and proviso escalations).
     pub items: usize,
+    /// Expansion workers that ran the level: 1 when it ran on the
+    /// explorer's thread, otherwise the number of chunks it was split into.
+    pub workers: usize,
     /// Nodes first discovered by this level's merge.
     pub new_nodes: usize,
     /// Total nodes in the store after this level.
@@ -250,10 +254,11 @@ impl LevelMetrics {
     /// payload and the members of [`ExploreMetrics::to_json`]'s `levels`).
     pub fn to_json(self) -> String {
         format!(
-            "{{\"level\": {}, \"items\": {}, \"new_nodes\": {}, \"nodes\": {}, \
-             \"edges\": {}, \"elapsed_ns\": {}}}",
+            "{{\"level\": {}, \"items\": {}, \"workers\": {}, \"new_nodes\": {}, \
+             \"nodes\": {}, \"edges\": {}, \"elapsed_ns\": {}}}",
             self.level,
             self.items,
+            self.workers,
             self.new_nodes,
             self.nodes_total,
             self.edges_total,
@@ -459,6 +464,13 @@ impl ExploreMetrics {
     /// The whole snapshot as one JSON object (no external deps — hand
     /// formatted like the bench writer).
     pub fn to_json(&self) -> String {
+        let levels: Vec<String> = self.levels.iter().map(|l| l.to_json()).collect();
+        self.json_with_levels(&format!("[{}]", levels.join(", ")))
+    }
+
+    /// [`to_json`](Self::to_json) with `levels` as the value of the
+    /// `"levels"` member.
+    fn json_with_levels(&self, levels: &str) -> String {
         let truncation = match self.truncation {
             TruncationCause::Complete => "null".to_string(),
             TruncationCause::MaxConfigs { cap } => {
@@ -472,13 +484,12 @@ impl ExploreMetrics {
             None => "null".to_string(),
             Some(s) => s.to_json(),
         };
-        let levels: Vec<String> = self.levels.iter().map(|l| l.to_json()).collect();
         format!(
             "{{\"configs\": {}, \"edges\": {}, \"generated\": {}, \
              \"dedup_hits\": {}, \"added\": {}, \"capped\": {}, \
              \"symmetry_hits\": {}, \"sleep_pruned\": {}, \"expansions\": {}, \
              \"peak_bytes\": {}, \"truncation\": {truncation}, \
-             \"store\": {store}, \"phases\": {}, \"levels\": [{}]}}",
+             \"store\": {store}, \"phases\": {}, \"levels\": {levels}}}",
             self.configs,
             self.edges,
             self.generated,
@@ -490,7 +501,6 @@ impl ExploreMetrics {
             self.expansions,
             self.peak_bytes,
             self.phases_json(),
-            levels.join(", ")
         )
     }
 }
@@ -850,15 +860,16 @@ impl Recorder {
 
     /// Closes the run in the event log (no-op without one): the `end`
     /// event with the outcome (one JSON object: graph facts or a
-    /// streaming verdict), the full [`ExploreMetrics::to_json`] payload
-    /// and the wall-clock end.
+    /// streaming verdict), the [`ExploreMetrics::to_json`] payload with
+    /// the level *count* as `"levels"` (each record is already in the log
+    /// as a `level` event) and the wall-clock end.
     pub fn log_end(&self, outcome_json: &str, metrics: &ExploreMetrics) {
         let Some(log) = &self.log else { return };
         log.emit(
             "end",
             &format!(
                 "{{\"outcome\": {outcome_json}, \"metrics\": {}, \"ended_unix_ms\": {}}}",
-                metrics.to_json(),
+                metrics.json_with_levels(&metrics.levels.len().to_string()),
                 unix_time_ms()
             ),
         );
@@ -968,6 +979,7 @@ impl Recorder {
     pub fn record_level(
         &self,
         items: usize,
+        workers: usize,
         new_nodes: usize,
         nodes_total: usize,
         edges_total: usize,
@@ -977,6 +989,7 @@ impl Recorder {
         let rec = LevelMetrics {
             level: levels.len() as u32,
             items,
+            workers,
             new_nodes,
             nodes_total,
             edges_total,
@@ -1204,16 +1217,17 @@ mod tests {
     #[test]
     fn level_records_and_json() {
         let rec = Recorder::new();
-        rec.record_level(1, 2, 3, 4, Duration::from_nanos(5));
-        rec.record_level(2, 0, 3, 6, Duration::from_nanos(7));
+        rec.record_level(1, 1, 2, 3, 4, Duration::from_nanos(5));
+        rec.record_level(40, 2, 0, 3, 6, Duration::from_nanos(7));
         let m = rec.snapshot();
         assert_eq!(m.levels.len(), 2);
         assert_eq!(m.levels[0].level, 0);
         assert_eq!(m.levels[1].level, 1);
+        assert_eq!(m.levels[1].workers, 2);
         assert_eq!(
             m.levels[0].to_json(),
-            "{\"level\": 0, \"items\": 1, \"new_nodes\": 2, \"nodes\": 3, \
-             \"edges\": 4, \"elapsed_ns\": 5}"
+            "{\"level\": 0, \"items\": 1, \"workers\": 1, \"new_nodes\": 2, \
+             \"nodes\": 3, \"edges\": 4, \"elapsed_ns\": 5}"
         );
         let json = m.to_json();
         assert!(json.contains("\"levels\": [{"));

@@ -86,6 +86,7 @@ fn busy_metrics() -> ExploreMetrics {
             LevelMetrics {
                 level: 0,
                 items: 1,
+                workers: 1,
                 new_nodes: 3,
                 nodes_total: 4,
                 edges_total: 3,
@@ -94,6 +95,7 @@ fn busy_metrics() -> ExploreMetrics {
             LevelMetrics {
                 level: 1,
                 items: 3,
+                workers: 2,
                 new_nodes: 996,
                 nodes_total: 1000,
                 edges_total: 2500,
@@ -121,6 +123,7 @@ fn explore_metrics_round_trip() {
     let levels = v.get("levels").and_then(JsonValue::as_array).unwrap();
     assert_eq!(levels.len(), 2);
     assert_eq!(u(&levels[1], "nodes"), 1000);
+    assert_eq!(u(&levels[1], "workers"), 2);
     let trunc = v.get("truncation").expect("truncation object");
     assert_eq!(
         trunc.get("cause").and_then(JsonValue::as_str),
@@ -176,8 +179,8 @@ fn read_log(path: &Path) -> Vec<JsonValue> {
 fn write_every_event(path: &Path) {
     let rec = Recorder::new().with_progress(1, |_| {}).with_log(path);
     assert!(rec.has_log());
-    rec.log_start(0x0123_4567_89ab_cdef, "{\"threads\": 4}");
-    rec.record_level(1, 2, 3, 4, Duration::from_nanos(5));
+    rec.log_start(0x0123_4567_89ab_cdef, "{\"max_configs\": 4}");
+    rec.record_level(1, 2, 3, 4, 5, Duration::from_nanos(6));
     rec.count_expansions(1);
     rec.heartbeat(0, 3, 1, 97);
     rec.log_end("{\"kind\": \"graph\", \"configs\": 42}", &busy_metrics());
@@ -213,7 +216,7 @@ fn start_event_round_trip() {
     );
     assert!(v.get("git_revision").and_then(JsonValue::as_str).is_some());
     assert!(v.get("env").and_then(JsonValue::as_object).is_some());
-    assert_eq!(u(v.get("options").unwrap(), "threads"), 4);
+    assert_eq!(u(v.get("options").unwrap(), "max_configs"), 4);
     assert!(u(&v, "started_unix_ms") > 0);
 }
 
@@ -221,13 +224,13 @@ fn start_event_round_trip() {
 fn level_event_round_trip() {
     // The payload is `LevelMetrics::to_json`, numbered by the recorder.
     let v = logged("level");
-    for (i, key) in ["level", "items", "new_nodes", "nodes", "edges"]
+    for (i, key) in ["level", "items", "workers", "new_nodes", "nodes", "edges"]
         .iter()
         .enumerate()
     {
         assert_eq!(u(&v, key), i as u64, "{key}");
     }
-    assert_eq!(u(&v, "elapsed_ns"), 5);
+    assert_eq!(u(&v, "elapsed_ns"), 6);
 }
 
 #[test]
@@ -252,8 +255,9 @@ fn end_event_round_trip() {
     assert_eq!(u(v.get("outcome").unwrap(), "configs"), 42);
     let metrics = v.get("metrics").unwrap();
     assert_eq!(u(metrics, "configs"), 1000);
-    let levels = metrics.get("levels").and_then(JsonValue::as_array).unwrap();
-    assert_eq!(levels.len(), 2);
+    // The level count, not a second copy of the records the `level`
+    // events already hold.
+    assert_eq!(u(metrics, "levels"), 2);
     assert!(u(&v, "ended_unix_ms") > 0);
 }
 

@@ -3,7 +3,7 @@
 #
 # 1. Baseline regression: the smoke run's facts for every (fixture,
 #    symmetry, por) combination are compared against the committed
-#    BENCH_modelcheck.json (threads=1 rows). Timing fields are
+#    BENCH_modelcheck.json (its full-graph rows). Timing fields are
 #    machine-dependent and ignored; the graph facts — including the
 #    frozen store's per-config memory — are deterministic, so any growth
 #    (more configs, more edges, more bytes per config, or a completing
@@ -65,7 +65,7 @@ fi
 fail=0
 checked=0
 while read -r _ fixture symmetry por peak edges truncated bytes_pc; do
-  row=$(grep -F "\"fixture\": \"$fixture\", \"threads\": 1, \"symmetry\": $symmetry, \"por\": $por," "$BASELINE" | head -1 || true)
+  row=$(grep -F "\"fixture\": \"$fixture\", \"symmetry\": $symmetry, \"por\": $por," "$BASELINE" | head -1 || true)
   if [[ -z "$row" ]]; then
     echo "bench_guard: no baseline row for $fixture symmetry=$symmetry por=$por (new fixture?); skipping"
     continue

@@ -11,7 +11,7 @@
 //!   `--follow` to poll until the last run's `end`).
 //! * `validate <log>` — per run: a `start`, then levels counting up from
 //!   0 with node counts that never shrink, then one `end` whose
-//!   `metrics.levels` has one entry per `level` event.
+//!   `metrics.levels` counts the `level` events.
 //! * `diff <a> <b>` — compare two `BENCH_modelcheck.json` files row by
 //!   row (or the last `end` of two event logs) and report regression
 //!   deltas; exits non-zero iff a deterministic graph fact regressed.
@@ -96,11 +96,15 @@ fn flag(v: &JsonValue, key: &str) -> bool {
     v.get(key).and_then(JsonValue::as_bool).unwrap_or(false)
 }
 
-/// Length of the array under `key` (0 when absent).
-fn len_of(v: &JsonValue, key: &str) -> usize {
-    v.get(key)
-        .and_then(JsonValue::as_array)
-        .map_or(0, <[JsonValue]>::len)
+/// The level count of an `end` event's metrics: a number, or the length
+/// of the level-record array logs written before the count carry (0 when
+/// absent).
+fn level_count(metrics: &JsonValue) -> u64 {
+    match metrics.get("levels") {
+        Some(JsonValue::Array(records)) => records.len() as u64,
+        Some(count) => count.as_u64().unwrap_or(0),
+        None => 0,
+    }
 }
 
 /// Every `end` event in log order, paired with its run's `start` (if the
@@ -172,11 +176,9 @@ fn render_run(start: Option<&JsonValue>, end: &JsonValue, n: usize) -> String {
         };
         let _ = writeln!(
             out,
-            "  options: goal {}, max_configs {}, threads {}, \
-             symmetry {}, por {}, store {}{budget}",
+            "  options: goal {}, max_configs {}, symmetry {}, por {}, store {}{budget}",
             str_or(opts, "goal", "?"),
             int(opts, "max_configs"),
-            int(opts, "threads"),
             flag(opts, "symmetry"),
             flag(opts, "por"),
             str_or(opts, "store", "?"),
@@ -275,7 +277,7 @@ fn render_metrics(metrics: &JsonValue) -> String {
         int(metrics, "generated"),
         int(metrics, "dedup_hits"),
         int(metrics, "expansions"),
-        len_of(metrics, "levels"),
+        level_count(metrics),
         int(metrics, "peak_bytes")
     );
     out
@@ -318,7 +320,7 @@ fn latest_status(events: &[JsonValue]) -> Option<String> {
             "[done] run {run}: {} configs, {} edges in {} levels",
             int(m, "configs"),
             int(m, "edges"),
-            len_of(m, "levels")
+            level_count(m)
         ));
     }
     let eta = match ev.get("eta_secs").and_then(JsonValue::as_f64) {
@@ -341,9 +343,10 @@ fn latest_status(events: &[JsonValue]) -> Option<String> {
 // -------------------------------------------------------------- validate
 
 /// Checks every run of the log: a `start`, then `level` events counting up
-/// from 0 whose node counts never shrink, then one `end` whose
-/// `metrics.levels` has one entry per `level` event; `heartbeat`s may fall
-/// anywhere in between. Returns the one-line summary.
+/// from 0 whose node counts never shrink (and whose `workers`, where
+/// logged, is at least 1), then one `end` whose `metrics.levels` counts
+/// the `level` events; `heartbeat`s may fall anywhere in between. Returns
+/// the one-line summary.
 fn validate(path: &str, text: &str) -> Result<String, String> {
     // Per run: levels seen, the last level's node count, ended.
     let mut runs: HashMap<&str, (u64, u64, bool)> = HashMap::new();
@@ -373,6 +376,11 @@ fn validate(path: &str, text: &str) -> Result<String, String> {
                 {
                     return Err(format!("{at}: missing or non-integer key \"{key}\""));
                 }
+                if let Some(w) = ev.get("workers") {
+                    if !w.as_u64().is_some_and(|w| w >= 1) {
+                        return Err(format!("{at}: \"workers\" is not a positive integer"));
+                    }
+                }
                 let (level, nodes) = (int(ev, "level"), int(ev, "nodes"));
                 if ev.get("level").is_none() || level != *levels {
                     return Err(format!(
@@ -387,7 +395,7 @@ fn validate(path: &str, text: &str) -> Result<String, String> {
             }
             "heartbeat" => nbeats += 1,
             "end" => {
-                let recorded = ev.get("metrics").map_or(0, |m| len_of(m, "levels")) as u64;
+                let recorded = ev.get("metrics").map_or(0, level_count);
                 if recorded != *levels {
                     return Err(format!(
                         "{at}: run {run} ends with {recorded} levels in its metrics \
@@ -417,11 +425,10 @@ fn validate(path: &str, text: &str) -> Result<String, String> {
 /// the run (timing fields deliberately excluded).
 fn row_key(row: &JsonValue) -> String {
     format!(
-        "{} goal={} store={} threads={} sym={} por={}",
+        "{} goal={} store={} sym={} por={}",
         str_or(row, "fixture", "?"),
         str_or(row, "goal", "full"),
         str_or(row, "store", "mem"),
-        int(row, "threads"),
         flag(row, "symmetry"),
         flag(row, "por"),
     )
@@ -612,16 +619,18 @@ mod tests {
     }
 
     /// Two interleaved runs, as two processes appending to one log write
-    /// them, each well formed.
+    /// them, each well formed. Run 1.0 is in the older schema (no
+    /// `workers` on its levels, its end carrying the level records), run
+    /// 2.0 in the current one (level `workers`, an end with the count).
     const GOOD: &str = r#"{"event": "start", "run": "1.0", "spec_hash": "00000000000000ff"}
 {"event": "start", "run": "2.0", "spec_hash": "00000000000000ff"}
 {"event": "level", "run": "1.0", "level": 0, "items": 1, "new_nodes": 1, "nodes": 2, "edges": 1, "elapsed_ns": 5}
-{"event": "level", "run": "2.0", "level": 0, "items": 1, "new_nodes": 1, "nodes": 2, "edges": 1, "elapsed_ns": 5}
+{"event": "level", "run": "2.0", "level": 0, "items": 1, "workers": 1, "new_nodes": 1, "nodes": 2, "edges": 1, "elapsed_ns": 5}
 {"event": "level", "run": "1.0", "level": 1, "items": 1, "new_nodes": 1, "nodes": 3, "edges": 2, "elapsed_ns": 5}
 {"event": "heartbeat", "run": "1.0", "level": 1, "explored": 3}
 {"event": "end", "run": "1.0", "metrics": {"configs": 3, "edges": 2, "levels": [{}, {}]}}
-{"event": "level", "run": "2.0", "level": 1, "items": 1, "new_nodes": 0, "nodes": 2, "edges": 2, "elapsed_ns": 5}
-{"event": "end", "run": "2.0", "metrics": {"configs": 2, "edges": 2, "levels": [{}, {}]}}
+{"event": "level", "run": "2.0", "level": 1, "items": 40, "workers": 2, "new_nodes": 0, "nodes": 2, "edges": 2, "elapsed_ns": 5}
+{"event": "end", "run": "2.0", "metrics": {"configs": 2, "edges": 2, "levels": 2}}
 "#;
 
     /// `GOOD` without its line `skip` (0-based).
@@ -650,6 +659,19 @@ mod tests {
                     "accepted without {line}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn validate_checks_level_workers_and_end_counts() {
+        for (from, to) in [
+            ("\"workers\": 2", "\"workers\": 0"),
+            ("\"levels\": 2}", "\"levels\": 3}"),
+            ("\"levels\": [{}, {}]", "\"levels\": [{}]"),
+        ] {
+            let bad = GOOD.replace(from, to);
+            assert_ne!(bad, GOOD);
+            assert!(validate("log", &bad).is_err(), "accepted {to}");
         }
     }
 

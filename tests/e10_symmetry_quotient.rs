@@ -197,8 +197,7 @@ fn interned_quotient_identical_to_deep_quotient() {
     // The hash-consed node store must commute with the symmetry quotient:
     // canonicalizing in id space picks the same orbit representatives in the
     // same order as the reference explorer canonicalizing deep `Config`s, so
-    // the two graphs are identical, not merely isomorphic — at every thread
-    // count.
+    // the two graphs are identical, not merely isomorphic.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e1 distinct p3", grouped_system(2, 1, 3)),
@@ -207,12 +206,9 @@ fn interned_quotient_identical_to_deep_quotient() {
         for symmetry in [false, true] {
             let opts = ExploreOptions::default().with_symmetry(symmetry);
             let reference = support::reference_for(&spec, &opts);
-            for threads in [1usize, 4] {
-                let g = StateGraph::explore(&spec, &opts.clone().with_threads(threads))
-                    .expect("interned explore");
-                let label = format!("{label} (symmetry={symmetry} x{threads} threads)");
-                support::assert_matches_reference(&g, &reference, &label);
-            }
+            let g = StateGraph::explore(&spec, &opts).expect("interned explore");
+            let label = format!("{label} (symmetry={symmetry})");
+            support::assert_matches_reference(&g, &reference, &label);
         }
     }
 }
@@ -222,7 +218,7 @@ fn disk_store_quotient_identical() {
     // The disk-backed store must commute with the symmetry quotient: orbit
     // canonicalization runs in id space, and eviction never moves ids, so a
     // 4 KiB hot tier produces the same quotient graph as unbounded memory
-    // and the reference explorer — at every thread count.
+    // and the reference explorer.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
@@ -232,20 +228,16 @@ fn disk_store_quotient_identical() {
             let reference = support::reference_for(&spec, &opts);
             let base = StateGraph::explore(&spec, &opts.clone().with_store(StoreBackend::Memory))
                 .expect("memory explore");
-            for threads in [1usize, 4] {
-                let g = StateGraph::explore(
-                    &spec,
-                    &opts
-                        .clone()
-                        .with_threads(threads)
-                        .with_store(StoreBackend::Disk)
-                        .with_store_budget(4 << 10),
-                )
-                .expect("disk explore");
-                let label = format!("{label} (symmetry={symmetry} disk x{threads} threads)");
-                support::assert_matches_reference(&g, &reference, &label);
-                assert_verdicts_agree(&base, &g, &label);
-            }
+            let g = StateGraph::explore(
+                &spec,
+                &opts
+                    .with_store(StoreBackend::Disk)
+                    .with_store_budget(4 << 10),
+            )
+            .expect("disk explore");
+            let label = format!("{label} (symmetry={symmetry} disk)");
+            support::assert_matches_reference(&g, &reference, &label);
+            assert_verdicts_agree(&base, &g, &label);
         }
     }
 }

@@ -190,8 +190,7 @@ fn interned_reduction_identical_to_deep_reduction() {
     // The ample-set choice, sleep-set bookkeeping and wake-up revisits all
     // run in id space; the reduced graph must nonetheless reach exactly the
     // deep-`Config` reference explorer's terminals with the same verdicts,
-    // under POR alone and composed with the symmetry quotient, and be the
-    // same graph at every thread count.
+    // under POR alone and composed with the symmetry quotient.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition p3", partition_system(3, 2, 1)),
@@ -202,14 +201,9 @@ fn interned_reduction_identical_to_deep_reduction() {
                 .with_por(true)
                 .with_symmetry(symmetry);
             let reference = support::reference_for(&spec, &opts);
-            let base = StateGraph::explore(&spec, &opts).expect("reduced explore");
-            for threads in [1usize, 4] {
-                let g = StateGraph::explore(&spec, &opts.clone().with_threads(threads))
-                    .expect("reduced explore");
-                let label = format!("{label} (por, symmetry={symmetry} x{threads} threads)");
-                support::assert_reduction_matches_reference(&g, &reference, &label);
-                assert_same_graph(&base, &g, &label);
-            }
+            let g = StateGraph::explore(&spec, &opts).expect("reduced explore");
+            let label = format!("{label} (por, symmetry={symmetry})");
+            support::assert_reduction_matches_reference(&g, &reference, &label);
         }
     }
 }
@@ -219,7 +213,7 @@ fn disk_store_reduction_identical() {
     // POR's sleep sets, ample choices and wake-up revisits all key on node
     // ids, which spill-and-reload never renumbers — so a 4 KiB hot tier
     // reproduces the reduced graph exactly, alone and composed with the
-    // symmetry quotient, at every thread count.
+    // symmetry quotient.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
@@ -231,21 +225,17 @@ fn disk_store_reduction_identical() {
             let reference = support::reference_for(&spec, &opts);
             let base = StateGraph::explore(&spec, &opts.clone().with_store(StoreBackend::Memory))
                 .expect("memory explore");
-            for threads in [1usize, 4] {
-                let g = StateGraph::explore(
-                    &spec,
-                    &opts
-                        .clone()
-                        .with_threads(threads)
-                        .with_store(StoreBackend::Disk)
-                        .with_store_budget(4 << 10),
-                )
-                .expect("disk explore");
-                let label = format!("{label} (por, symmetry={symmetry} disk x{threads} threads)");
-                support::assert_reduction_matches_reference(&g, &reference, &label);
-                assert_same_graph(&base, &g, &label);
-                assert_verdicts_agree(&base, &g, &label);
-            }
+            let g = StateGraph::explore(
+                &spec,
+                &opts
+                    .with_store(StoreBackend::Disk)
+                    .with_store_budget(4 << 10),
+            )
+            .expect("disk explore");
+            let label = format!("{label} (por, symmetry={symmetry} disk)");
+            support::assert_reduction_matches_reference(&g, &reference, &label);
+            assert_same_graph(&base, &g, &label);
+            assert_verdicts_agree(&base, &g, &label);
         }
     }
 }

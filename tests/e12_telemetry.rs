@@ -1,11 +1,11 @@
 //! E12 (exploration telemetry): sinks must be invisible to the explorer —
 //! graphs and counters are identical with the event log and a heartbeat
-//! installed vs none, across every store/reduction/thread combination —
-//! while the collected metrics are internally consistent (counters sum to
-//! node totals, the always-on phase clocks sum under the total, the same
-//! graph counts the same work at every thread count and store), the event
-//! log holds every run whole, the heartbeat fires, and the DOT export is
-//! well-formed.
+//! installed vs none, across every store/reduction combination — while the
+//! collected metrics are internally consistent (counters sum to node
+//! totals, the always-on phase clocks sum under the total, the same graph
+//! counts the same work on every store, level records say how many
+//! workers ran), the event log holds every run whole, the heartbeat fires,
+//! and the DOT export is well-formed.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -70,22 +70,33 @@ fn str_of<'a>(v: &'a JsonValue, key: &str) -> &'a str {
     v.get(key).and_then(JsonValue::as_str).unwrap_or("")
 }
 
+/// Whether this host splits levels of 32+ items across workers at all.
+fn host_splits() -> bool {
+    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+}
+
+/// Whether some level of `m` ran split across workers.
+fn ran_split(m: &ExploreMetrics) -> bool {
+    m.levels.iter().any(|l| l.workers > 1)
+}
+
 #[test]
 fn instrumented_graphs_identical_across_matrix() {
     // The event log plus an every-expansion heartbeat vs the default
-    // recorder, × symmetry × POR × threads {1, 2} × store {memory, disk}:
-    // the recorder is write-only from the explorer's view, so every cell
-    // reproduces the plain graph node-for-node. Within one symmetry × POR
-    // pair the graph is the same at every thread count and store, so every
-    // counter and the interner's statistics must be the same too. What the
-    // log holds is checked by `persistent_sinks_invisible_across_matrix`.
+    // recorder, × symmetry × POR × store {memory, disk}: the recorder is
+    // write-only from the explorer's view, so every cell reproduces the
+    // plain graph node-for-node. Within one symmetry × POR pair the graph
+    // is the same on every store, so every counter and the interner's
+    // statistics must be the same too. On a multi-core host the second
+    // fixture's large levels run split. What the log holds is checked by
+    // `persistent_sinks_invisible_across_matrix`.
     let (dir, log) = fresh_log("matrix");
     let fixtures = [
         grouped_system(2, 1, 3, true),
         grouped_system(2, 1, 4, false),
     ];
     // Every counter that depends only on the graph and the reductions, not
-    // on threads, store or timing.
+    // on the level split, store or timing.
     let counters = |m: &ExploreMetrics| {
         let items: Vec<usize> = m.levels.iter().map(|l| l.items).collect();
         let merge = (m.generated, m.dedup_hits, m.added, m.expansions);
@@ -100,49 +111,43 @@ fn instrumented_graphs_identical_across_matrix() {
         for symmetry in [false, true] {
             for por in [false, true] {
                 let mut reference = None;
-                for threads in [1usize, 2] {
-                    for store in [StoreBackend::Memory, StoreBackend::Disk] {
-                        let label = format!(
-                            "{} procs sym={symmetry} por={por} threads={threads} \
-                             store={store:?}",
-                            spec.nprocs()
-                        );
-                        let mut opts = ExploreOptions::default()
-                            .with_symmetry(symmetry)
-                            .with_por(por)
-                            .with_threads(threads)
-                            .with_store(store);
-                        if store == StoreBackend::Disk {
-                            opts = opts.with_store_budget(4 << 10);
-                        }
-                        let plain =
-                            StateGraph::explore_with(spec, &opts, &Recorder::new()).unwrap();
-                        let rec = Recorder::new().with_progress(1, |_| {}).with_log(&log);
-                        let logged = StateGraph::explore_with(spec, &opts, &rec).unwrap();
-                        assert_identical(&plain, &logged, &label);
-                        let cell = (counters(plain.metrics()), plain.interner_stats());
-                        assert_eq!(
-                            (counters(logged.metrics()), logged.interner_stats()),
-                            cell,
-                            "{label}: the sinks changed a counter"
-                        );
-                        match &reference {
-                            None => reference = Some(cell.clone()),
-                            Some(r) => assert_eq!(
-                                *r, cell,
-                                "{label}: counters differ from threads=1 store=Memory"
-                            ),
-                        }
-                        parallel_level |=
-                            threads > 1 && plain.metrics().levels.iter().any(|l| l.items >= 32);
+                for store in [StoreBackend::Memory, StoreBackend::Disk] {
+                    let label = format!(
+                        "{} procs sym={symmetry} por={por} store={store:?}",
+                        spec.nprocs()
+                    );
+                    let mut opts = ExploreOptions::default()
+                        .with_symmetry(symmetry)
+                        .with_por(por)
+                        .with_store(store);
+                    if store == StoreBackend::Disk {
+                        opts = opts.with_store_budget(4 << 10);
                     }
+                    let plain = StateGraph::explore_with(spec, &opts, &Recorder::new()).unwrap();
+                    let rec = Recorder::new().with_progress(1, |_| {}).with_log(&log);
+                    let logged = StateGraph::explore_with(spec, &opts, &rec).unwrap();
+                    assert_identical(&plain, &logged, &label);
+                    let cell = (counters(plain.metrics()), plain.interner_stats());
+                    assert_eq!(
+                        (counters(logged.metrics()), logged.interner_stats()),
+                        cell,
+                        "{label}: the sinks changed a counter"
+                    );
+                    match &reference {
+                        None => reference = Some(cell.clone()),
+                        Some(r) => {
+                            assert_eq!(*r, cell, "{label}: counters differ from store=Memory")
+                        }
+                    }
+                    parallel_level |= ran_split(plain.metrics()) && ran_split(logged.metrics());
                 }
             }
         }
     }
-    assert!(
+    assert_eq!(
         parallel_level,
-        "no level reached the parallel expansion threshold"
+        host_splits(),
+        "a multi-core host splits the large levels, a one-core host none"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -151,8 +156,8 @@ fn instrumented_graphs_identical_across_matrix() {
 fn persistent_sinks_invisible_across_matrix() {
     // The persistent sink — the event log, with an every-expansion
     // heartbeat feeding it — must be as invisible as the in-memory
-    // recorder: every symmetry × POR × threads × store cell reproduces the
-    // plain single-threaded in-memory graph node-for-node, and leaves one
+    // recorder: every symmetry × POR × store cell reproduces the plain
+    // in-memory graph node-for-node, and leaves one
     // whole, parseable run in the log: its start with the resolved store,
     // its heartbeats, then its end with the graph's size, all under one
     // run id of its own, and every run of one spec under one fingerprint.
@@ -169,16 +174,12 @@ fn persistent_sinks_invisible_across_matrix() {
                     .with_symmetry(symmetry)
                     .with_por(por);
                 let plain = StateGraph::explore(spec, &base_opts).unwrap();
-                for (threads, store) in [
-                    (1usize, StoreBackend::Memory),
-                    (2, StoreBackend::Memory),
-                    (2, StoreBackend::Disk),
-                ] {
+                for store in [StoreBackend::Memory, StoreBackend::Disk] {
                     let label = format!(
-                        "{} procs sym={symmetry} por={por} threads={threads} store={store:?}",
+                        "{} procs sym={symmetry} por={por} store={store:?}",
                         spec.nprocs()
                     );
-                    let mut opts = base_opts.clone().with_threads(threads).with_store(store);
+                    let mut opts = base_opts.clone().with_store(store);
                     if store == StoreBackend::Disk {
                         opts = opts.with_store_budget(4 << 10);
                     }
@@ -221,8 +222,9 @@ fn persistent_sinks_invisible_across_matrix() {
 fn phase_clocks_cover_every_configuration() {
     // A plain `explore` — no recorder, no sinks — always carries its phase
     // breakdown: the phases are disjoint spans of the explorer's thread,
-    // so they sum under the total at every thread count, store and
-    // reduction. Full-graph goals freeze once; verdict goals never do.
+    // so they sum under the total on every store and reduction, split
+    // levels included. Full-graph goals freeze once; verdict goals never
+    // do.
     let fixtures = [
         grouped_system(2, 1, 3, true),
         grouped_system(2, 1, 4, false),
@@ -231,53 +233,50 @@ fn phase_clocks_cover_every_configuration() {
     for spec in &fixtures {
         for symmetry in [false, true] {
             for por in [false, true] {
-                for threads in [1usize, 2] {
-                    for store in [StoreBackend::Memory, StoreBackend::Disk] {
-                        let label = format!(
-                            "{} procs sym={symmetry} por={por} threads={threads} \
-                             store={store:?}",
-                            spec.nprocs()
-                        );
-                        let mut opts = ExploreOptions::default()
-                            .with_symmetry(symmetry)
-                            .with_por(por)
-                            .with_threads(threads)
-                            .with_store(store);
-                        if store == StoreBackend::Disk {
-                            opts = opts.with_store_budget(4 << 10);
-                        }
-                        let g = StateGraph::explore(spec, &opts).unwrap();
-                        let m = g.metrics();
-                        assert!(m.total_ns > 0, "{label}: total clocked");
-                        assert!(m.expand_ns > 0, "{label}: expansion clocked");
-                        assert!(
-                            m.phase_sum() <= m.total_ns,
-                            "{label}: phase sum {} exceeds total {}",
-                            m.phase_sum(),
-                            m.total_ns
-                        );
-                        assert_eq!(m.freeze_calls, 1, "{label}: full graph freezes once");
-                        parallel_level |= threads > 1 && m.levels.iter().any(|l| l.items >= 32);
-
-                        let verdict = opts.with_goal(ExploreGoal::Verdict(
-                            VerdictQuery::new().require_wait_freedom(),
-                        ));
-                        let v = StateGraph::explore(spec, &verdict).unwrap();
-                        let m = v.metrics();
-                        assert!(m.phase_sum() <= m.total_ns, "{label}: verdict phase sum");
-                        assert_eq!(
-                            (m.freeze_ns, m.freeze_calls),
-                            (0, 0),
-                            "{label}: verdict goal skips the freeze"
-                        );
+                for store in [StoreBackend::Memory, StoreBackend::Disk] {
+                    let label = format!(
+                        "{} procs sym={symmetry} por={por} store={store:?}",
+                        spec.nprocs()
+                    );
+                    let mut opts = ExploreOptions::default()
+                        .with_symmetry(symmetry)
+                        .with_por(por)
+                        .with_store(store);
+                    if store == StoreBackend::Disk {
+                        opts = opts.with_store_budget(4 << 10);
                     }
+                    let g = StateGraph::explore(spec, &opts).unwrap();
+                    let m = g.metrics();
+                    assert!(m.total_ns > 0, "{label}: total clocked");
+                    assert!(m.expand_ns > 0, "{label}: expansion clocked");
+                    assert!(
+                        m.phase_sum() <= m.total_ns,
+                        "{label}: phase sum {} exceeds total {}",
+                        m.phase_sum(),
+                        m.total_ns
+                    );
+                    assert_eq!(m.freeze_calls, 1, "{label}: full graph freezes once");
+                    parallel_level |= ran_split(m);
+
+                    let verdict = opts.with_goal(ExploreGoal::Verdict(
+                        VerdictQuery::new().require_wait_freedom(),
+                    ));
+                    let v = StateGraph::explore(spec, &verdict).unwrap();
+                    let m = v.metrics();
+                    assert!(m.phase_sum() <= m.total_ns, "{label}: verdict phase sum");
+                    assert_eq!(
+                        (m.freeze_ns, m.freeze_calls),
+                        (0, 0),
+                        "{label}: verdict goal skips the freeze"
+                    );
                 }
             }
         }
     }
-    assert!(
+    assert_eq!(
         parallel_level,
-        "no level reached the parallel expansion threshold"
+        host_splits(),
+        "a multi-core host splits the large levels, a one-core host none"
     );
 }
 
@@ -329,7 +328,14 @@ fn run_record_written_only_when_log_installed() {
         str_of(start, "spec_hash"),
         format!("{:016x}", spec.spec_fingerprint())
     );
-    let outcome = events[events.len() - 1].get("outcome").unwrap();
+    // The end event counts the levels instead of repeating their records.
+    let end = &events[events.len() - 1];
+    let levels = end.get("metrics").unwrap().get("levels");
+    assert_eq!(
+        levels.and_then(JsonValue::as_u64),
+        Some(g.metrics().levels.len() as u64)
+    );
+    let outcome = end.get("outcome").unwrap();
     assert_eq!(str_of(outcome, "kind"), "verdict");
     let verdict = outcome.get("verdict").expect("verdict payload");
     assert!(verdict.get("holds").is_some());
@@ -443,43 +449,40 @@ fn disk_store_metrics_reported_and_consistent() {
         "memory runs report no store metrics"
     );
     assert!(plain.metrics().to_json().contains("\"store\": null"));
-    for threads in [1usize, 4] {
-        let opts = ExploreOptions::default()
-            .with_threads(threads)
-            .with_store(StoreBackend::Disk)
-            .with_store_budget(4 << 10);
-        let g = StateGraph::explore(&spec, &opts).unwrap();
-        let label = format!("disk x{threads} threads");
-        assert_identical(&plain, &g, &label);
-        let m = g.metrics();
-        // Eviction changes where rows live, never how many successors each
-        // merge bucket absorbs.
-        assert_eq!(
-            m.generated,
-            m.dedup_hits + m.added + m.capped,
-            "{label}: generated = dedup + added + capped"
-        );
-        assert_eq!(m.capped, 0, "{label}: disk runs do not truncate");
-        assert_eq!(m.truncation, TruncationCause::Complete, "{label}");
-        let s = m.store.expect("disk runs report store metrics");
-        assert!(s.spilled_bytes > 0, "{label}: 4 KiB budget forces spill");
-        assert!(s.reload_count > 0, "{label}: pinned frontiers fault back");
-        assert!(
-            (0.0..=1.0).contains(&s.hot_hit_rate()),
-            "{label}: hit rate {} in [0, 1]",
-            s.hot_hit_rate()
-        );
-        assert!(
-            m.store_ns > 0,
-            "{label}: spill writes fall in the store phase"
-        );
-        let json = m.to_json();
-        assert!(
-            json.contains("\"store\": {\"spilled_bytes\": "),
-            "{label}: {json}"
-        );
-        assert!(json.contains("\"hot_hit_rate\": "), "{label}: {json}");
-    }
+    let opts = ExploreOptions::default()
+        .with_store(StoreBackend::Disk)
+        .with_store_budget(4 << 10);
+    let g = StateGraph::explore(&spec, &opts).unwrap();
+    let label = "disk";
+    assert_identical(&plain, &g, label);
+    let m = g.metrics();
+    // Eviction changes where rows live, never how many successors each
+    // merge bucket absorbs.
+    assert_eq!(
+        m.generated,
+        m.dedup_hits + m.added + m.capped,
+        "{label}: generated = dedup + added + capped"
+    );
+    assert_eq!(m.capped, 0, "{label}: disk runs do not truncate");
+    assert_eq!(m.truncation, TruncationCause::Complete, "{label}");
+    let s = m.store.expect("disk runs report store metrics");
+    assert!(s.spilled_bytes > 0, "{label}: 4 KiB budget forces spill");
+    assert!(s.reload_count > 0, "{label}: pinned frontiers fault back");
+    assert!(
+        (0.0..=1.0).contains(&s.hot_hit_rate()),
+        "{label}: hit rate {} in [0, 1]",
+        s.hot_hit_rate()
+    );
+    assert!(
+        m.store_ns > 0,
+        "{label}: spill writes fall in the store phase"
+    );
+    let json = m.to_json();
+    assert!(
+        json.contains("\"store\": {\"spilled_bytes\": "),
+        "{label}: {json}"
+    );
+    assert!(json.contains("\"hot_hit_rate\": "), "{label}: {json}");
 }
 
 #[test]

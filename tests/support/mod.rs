@@ -17,7 +17,7 @@ use subconsensus_sim::{Config, Pid, ProcStatus, SystemSpec, Value};
 use reference::RefGraph;
 
 /// The reference graph for the bound and symmetry setting of `opts` (its
-/// reductions, store and threads do not apply to the reference).
+/// reductions and store do not apply to the reference).
 pub fn reference_for(spec: &SystemSpec, opts: &ExploreOptions) -> RefGraph {
     reference::explore(spec, opts.symmetry, opts.max_configs)
 }
@@ -33,6 +33,30 @@ pub fn assert_matches_reference(g: &StateGraph, r: &RefGraph, label: &str) {
     }
     assert_eq!(g.terminals(), r.terminals, "{label}: terminals");
     assert_eq!(g.is_truncated(), r.truncated, "{label}: truncation");
+}
+
+/// The wait-freedom verdict of the reference graph: a cycle diverges;
+/// otherwise every terminal process decided, some hung, or some is stuck.
+pub fn reference_wait_freedom(r: &RefGraph) -> WaitFreedom {
+    let statuses: Vec<&ProcStatus> = r
+        .terminals
+        .iter()
+        .flat_map(|&t| {
+            let c = &r.configs[t];
+            (0..c.nprocs()).map(move |p| &c.proc_state(Pid::new(p)).status)
+        })
+        .collect();
+    if r.has_cycle() {
+        WaitFreedom::Diverges
+    } else if !r.terminals.is_empty()
+        && statuses.iter().all(|s| matches!(s, ProcStatus::Decided(_)))
+    {
+        WaitFreedom::WaitFree
+    } else if statuses.iter().any(|s| matches!(s, ProcStatus::Hung)) {
+        WaitFreedom::Hangs
+    } else {
+        WaitFreedom::Stuck
+    }
 }
 
 /// A partial-order-reduced `g` reaches exactly the reference's terminal
@@ -52,26 +76,11 @@ pub fn assert_reduction_matches_reference(g: &StateGraph, r: &RefGraph, label: &
         "{label}: terminal configurations"
     );
 
-    let statuses: Vec<&ProcStatus> = r
-        .terminals
-        .iter()
-        .flat_map(|&t| {
-            let c = &r.configs[t];
-            (0..c.nprocs()).map(move |p| &c.proc_state(Pid::new(p)).status)
-        })
-        .collect();
-    let expected = if r.has_cycle() {
-        WaitFreedom::Diverges
-    } else if !r.terminals.is_empty()
-        && statuses.iter().all(|s| matches!(s, ProcStatus::Decided(_)))
-    {
-        WaitFreedom::WaitFree
-    } else if statuses.iter().any(|s| matches!(s, ProcStatus::Hung)) {
-        WaitFreedom::Hangs
-    } else {
-        WaitFreedom::Stuck
-    };
-    assert_eq!(check_wait_freedom(g), expected, "{label}: wait-freedom");
+    assert_eq!(
+        check_wait_freedom(g),
+        reference_wait_freedom(r),
+        "{label}: wait-freedom"
+    );
     assert_eq!(
         check_nonblocking(g),
         r.nonblocking(),

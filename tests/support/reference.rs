@@ -2,7 +2,8 @@
 //! [`Config`]s, used by the test suites as an oracle for the model checker.
 //!
 //! It shares no code with the explorer in `subconsensus-modelcheck`: no
-//! interning, fingerprint index, partial-order reduction, spill or threads.
+//! interning, fingerprint index, partial-order reduction, spill or level
+//! split.
 //! Nodes live in a `HashMap<Config, usize>` and are numbered in FIFO
 //! discovery order, successors come from [`SystemSpec::successors`] in pid
 //! order, and the symmetry quotient is [`SystemSpec::canonicalize_config_perm`]
@@ -13,9 +14,9 @@
 // Each including test crate uses a different subset of the helpers.
 #![allow(dead_code)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use subconsensus_sim::{Config, Pid, SystemSpec};
+use subconsensus_sim::{Config, Pid, SystemSpec, Value};
 
 /// A reachable configuration graph built by [`explore`].
 pub struct RefGraph {
@@ -116,6 +117,29 @@ impl RefGraph {
         }
         let mut color = vec![0u8; self.configs.len()];
         (0..self.configs.len()).any(|v| color[v] == 0 && visit(self, v, &mut color))
+    }
+
+    /// Each node's valence: the values decided in the terminals it can
+    /// reach (fixpoint over the forward edges).
+    pub fn valences(&self) -> Vec<BTreeSet<Value>> {
+        let mut sets = vec![BTreeSet::new(); self.configs.len()];
+        for &t in &self.terminals {
+            sets[t] = self.configs[t].decided_values().into_iter().collect();
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for v in (0..self.configs.len()).rev() {
+                for &(_, w) in &self.edges[v] {
+                    if !sets[w].is_subset(&sets[v]) {
+                        let reached = sets[w].clone();
+                        sets[v].extend(reached);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        sets
     }
 
     /// Whether every node can reach a terminal (fixpoint over the forward
